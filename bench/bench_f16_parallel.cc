@@ -1,12 +1,10 @@
 // F16: ingestion throughput vs thread count for the parallel engine.
-// Builds the same RMAT stream with 1/2/4/8 ingestion workers in both
-// ordering modes and reports edges/sec plus speedup over the 1-thread
-// build. Ordered (vertex-sharded, SPSC ring hand-off) must stay
-// bit-identical to a sequential build — asserted on sampled queries.
-// Relaxed (edge-partitioned replicas, end-of-stream merge) promises only
-// oracle-bounded estimates; its identical column is reported, not
-// asserted. Speedup columns only mean anything when the machine has that
-// many hardware threads — the binary prints the count.
+// Builds the same RMAT stream with 1/2/4/8 ingestion workers and reports
+// edges/sec plus speedup over the 1-thread build. The vertex-sharded
+// build (SPSC ring hand-off) must stay bit-identical to a sequential
+// build — asserted on sampled queries. Speedup columns only mean anything
+// when the machine has that many hardware threads — the binary prints the
+// count.
 
 #include <algorithm>
 #include <thread>
@@ -43,15 +41,13 @@ double IdenticalFraction(const LinkPredictor& a, const LinkPredictor& b,
   return static_cast<double>(identical) / pairs;
 }
 
-/// One thread-scaling sweep in the given ordering mode. Returns the
-/// 4-thread edges/sec for the report — best of 3 at that row, because
-/// the single-shot number is scheduler roulette when the machine has
-/// fewer hardware threads than workers (the bench_diff gate needs a
-/// stable metric; the table rows stay single-shot).
-double Sweep(IngestOrdering ordering, const PredictorConfig& base,
-             const GeneratedGraph& g, const LinkPredictor& reference,
-             const BenchConfig& config) {
-  std::printf("%s mode:\n", IngestOrderingName(ordering).c_str());
+/// One thread-scaling sweep. Returns the 4-thread edges/sec for the
+/// report — best of 3 at that row, because the single-shot number is
+/// scheduler roulette when the machine has fewer hardware threads than
+/// workers (the bench_diff gate needs a stable metric; the table rows stay
+/// single-shot).
+double Sweep(const PredictorConfig& base, const GeneratedGraph& g,
+             const LinkPredictor& reference, const BenchConfig& config) {
   ResultTable table(
       {"threads", "seconds", "edges_per_sec", "speedup", "identical"});
   double baseline_seconds = 0;
@@ -59,10 +55,7 @@ double Sweep(IngestOrdering ordering, const PredictorConfig& base,
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     VectorEdgeStream stream(g.edges);
     Stopwatch timer;
-    auto built = IngestEngineBuilder(base)
-                     .Threads(threads)
-                     .Ordering(ordering)
-                     .Ingest(stream);
+    auto built = IngestEngineBuilder(base).Threads(threads).Ingest(stream);
     double seconds = timer.ElapsedSeconds();
     SL_CHECK_OK(built.status());
     if (threads == 1) baseline_seconds = seconds;
@@ -73,7 +66,6 @@ double Sweep(IngestOrdering ordering, const PredictorConfig& base,
         Stopwatch retry_timer;
         SL_CHECK_OK(IngestEngineBuilder(base)
                         .Threads(threads)
-                        .Ordering(ordering)
                         .Ingest(retry_stream)
                         .status());
         eps_4t = std::max(
@@ -86,12 +78,8 @@ double Sweep(IngestOrdering ordering, const PredictorConfig& base,
                   ResultTable::Cell(g.edges.size() / seconds),
                   ResultTable::Cell(baseline_seconds / seconds),
                   ResultTable::Cell(identical)});
-    // Only ordered mode promises bit-identity; relaxed is covered by the
-    // differential oracle (src/verify/) instead.
-    if (ordering == IngestOrdering::kOrdered) {
-      SL_CHECK(identical == 1.0)
-          << threads << "-thread ordered build diverged from sequential";
-    }
+    SL_CHECK(identical == 1.0)
+        << threads << "-thread build diverged from sequential";
   }
   table.Emit(config);
   std::printf("\n");
@@ -99,7 +87,7 @@ double Sweep(IngestOrdering ordering, const PredictorConfig& base,
 }
 
 void Run(const BenchConfig& config) {
-  Banner("F16", "parallel ingestion: throughput vs threads and ordering");
+  Banner("F16", "parallel ingestion: throughput vs threads");
   std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
 
   GeneratedGraph g =
@@ -119,19 +107,15 @@ void Run(const BenchConfig& config) {
   SL_CHECK_OK(reference.status());
 
   BenchReport& report = BenchReport::Get();
-  const double ordered_4t = Sweep(IngestOrdering::kOrdered, predictor_config,
-                                  g, **reference, config);
-  report.AddMetric("ingest_4t_eps", ordered_4t);
-  const double relaxed_4t = Sweep(IngestOrdering::kRelaxed, predictor_config,
-                                  g, **reference, config);
-  report.AddMetric("relaxed_4t_eps", relaxed_4t);
+  report.AddMetric("ingest_4t_eps",
+                   Sweep(predictor_config, g, **reference, config));
 
-  // Observability overhead: the same 4-thread ordered build with the
+  // Observability overhead: the same 4-thread build with the
   // ingest.* instrumentation bound vs left null (null pointers are the
   // compiled-out baseline — every metric update is skipped). Best of 3 per
   // side to damp scheduler noise; the obs acceptance bar is < 2%
   // throughput delta.
-  std::printf("metrics overhead (4 threads, ordered, best of 3):\n");
+  std::printf("metrics overhead (4 threads, best of 3):\n");
   obs::MetricsRegistry registry;
   double best_off = 0, best_on = 0;
   for (int rep = 0; rep < 3; ++rep) {

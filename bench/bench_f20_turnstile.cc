@@ -1,18 +1,16 @@
 // F20: turnstile ingest — edge deletions end-to-end (docs/turnstile.md).
 // Generates a delete-heavy churn stream (~35% of events are deletes of a
 // uniformly random live edge), then measures event throughput of the tcm
-// predictor through each engine mode:
+// predictor through the ingest engine:
 //
 //   1. sequential replay (threads=1) — the reference path;
 //   2. ordered vertex-sharded ingest (threads=2, op-tagged half-edge
-//      batches) — must stay bit-identical to sequential;
-//   3. relaxed replicas (threads=2, whole-event partitions folded at
-//      end-of-stream) — lossless for tcm's additive cells.
+//      batches) — must stay bit-identical to sequential.
 //
 // Every run re-verifies the correctness claims before timing anything:
 // the turnstile differential oracle (exact-replay comparison under the
-// Markov tolerance) must pass, and the ordered/relaxed builds must answer
-// a pair sample identically to the sequential build. Throughput metrics
+// Markov tolerance) must pass, and the ordered build must answer a pair
+// sample identically to the sequential build. Throughput metrics
 // (events/sec, *_eps) are best-of-3 and diff-gated by
 // check-bench-turnstile at a wide tripwire threshold — a 2-core shared
 // box swings with co-tenant load.
@@ -36,16 +34,15 @@ struct ModeResult {
   double best_seconds = 0.0;
 };
 
-ModeResult RunMode(const PredictorConfig& config, IngestOrdering ordering,
-                   uint32_t threads, const TurnstileWorkload& w) {
+ModeResult RunMode(const PredictorConfig& config, uint32_t threads,
+                   const TurnstileWorkload& w) {
   ModeResult result;
   PredictorConfig run_config = config;
   run_config.threads = threads;
   for (int round = 0; round < 3; ++round) {
     VectorOpStream stream(w.events);
     Stopwatch clock;
-    auto built = IngestEngineBuilder(run_config).Ordering(ordering).Ingest(
-        stream);
+    auto built = IngestEngineBuilder(run_config).Ingest(stream);
     const double seconds = clock.ElapsedSeconds();
     SL_CHECK(built.ok()) << built.status().ToString();
     const double eps =
@@ -72,7 +69,7 @@ void ExpectIdentical(const LinkPredictor& a, const LinkPredictor& b,
 }
 
 void Run(const BenchConfig& config) {
-  Banner("F20", "turnstile ingest: delete-heavy churn through every mode");
+  Banner("F20", "turnstile ingest: delete-heavy churn, sequential and 2T");
 
   ChurnSpec spec;
   spec.base_workload = "ba";
@@ -115,26 +112,17 @@ void Run(const BenchConfig& config) {
                   ResultTable::Cell(r.best_eps)});
   };
 
-  ModeResult sequential =
-      RunMode(predictor_config, IngestOrdering::kOrdered, 1, w);
+  ModeResult sequential = RunMode(predictor_config, 1, w);
   add_row("sequential", 1, sequential);
 
-  ModeResult ordered =
-      RunMode(predictor_config, IngestOrdering::kOrdered, 2, w);
+  ModeResult ordered = RunMode(predictor_config, 2, w);
   ExpectIdentical(*sequential.predictor, *ordered.predictor, w.num_vertices,
                   "ordered");
   add_row("ordered", 2, ordered);
 
-  ModeResult relaxed =
-      RunMode(predictor_config, IngestOrdering::kRelaxed, 2, w);
-  ExpectIdentical(*sequential.predictor, *relaxed.predictor, w.num_vertices,
-                  "relaxed");
-  add_row("relaxed", 2, relaxed);
-
   BenchReport& report = BenchReport::Get();
   report.AddMetric("turnstile_seq_eps", sequential.best_eps);
   report.AddMetric("turnstile_ordered2_eps", ordered.best_eps);
-  report.AddMetric("turnstile_relaxed2_eps", relaxed.best_eps);
   // Informational: workload shape, so a baseline diff shows when the
   // stream itself changed rather than the code under it.
   report.AddMetric("delete_fraction", realized);

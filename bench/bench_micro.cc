@@ -15,12 +15,9 @@
 #include "gen/rmat.h"
 #include "sketch/bbit_minhash.h"
 #include "sketch/bottomk.h"
-#include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "sketch/icws.h"
 #include "sketch/minhash.h"
 #include "sketch/oph.h"
-#include "sketch/quantile.h"
 #include "sketch/space_saving.h"
 #include "sketch/weighted_sampler.h"
 #include "util/hashing.h"
@@ -163,36 +160,6 @@ void BM_IcwsUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IcwsUpdate)->Arg(16)->Arg(64);
-
-void BM_QuantileInsert(benchmark::State& state) {
-  QuantileSketch sketch(0.01);
-  Rng rng(5);
-  for (auto _ : state) {
-    sketch.Insert(rng.NextDouble());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuantileInsert);
-
-void BM_CountSketchUpdate(benchmark::State& state) {
-  CountSketch sketch(5, 1024, 6);
-  uint64_t key = 0;
-  for (auto _ : state) {
-    sketch.Update(key++ % 10000);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountSketchUpdate);
-
-void BM_HllUpdate(benchmark::State& state) {
-  HyperLogLog h(12);
-  uint64_t x = 1;
-  for (auto _ : state) {
-    h.Update(x = Mix64(x));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HllUpdate);
 
 /// One full predictor edge-ingest on a pre-generated BA stream.
 template <typename PredictorT>

@@ -9,13 +9,7 @@
 // ShardedPredictor answers queries by routing to the owning shards, so
 // there is no merge step at all.
 //
-// With --ingest-mode relaxed, each worker instead ingests an arbitrary
-// partition of whole edges into its own full replica, and the replicas
-// are merged once at end-of-stream — higher throughput, but only
-// oracle-bounded (not bit-identical) estimates are promised.
-//
 // Run:  ./examples/parallel_ingest [--threads 4] [--scale 2.0]
-//                                  [--ingest-mode ordered|relaxed]
 
 #include <cstdio>
 #include <thread>
@@ -33,11 +27,7 @@ using namespace streamlink;  // example code only; library code never does this 
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  std::vector<std::string> known = {"threads", "scale"};
-  for (const std::string& name : IngestEngineBuilder::FlagNames()) {
-    known.push_back(name);
-  }
-  SL_CHECK_OK(flags.CheckUnknown(known));
+  SL_CHECK_OK(flags.CheckUnknown({"threads", "scale"}));
   const int num_threads = static_cast<int>(flags.GetInt("threads", 4));
   const double scale = flags.GetDouble("scale", 2.0);
   SL_CHECK(num_threads >= 1) << "--threads must be >= 1";
@@ -60,27 +50,22 @@ int main(int argc, char** argv) {
   std::printf("sequential build: %s\n",
               FormatDuration(sequential_seconds).c_str());
 
-  // Parallel build through the builder: --ingest-mode / --batch-edges /
-  // --ring-batches map straight onto it. In ordered mode the calling
-  // thread routes pre-hashed half-edge batches to per-shard rings; one
-  // worker per shard applies them. Every vertex's sketch lives in exactly
-  // one shard, so total memory matches the sequential build.
-  IngestEngineBuilder builder(config);
-  SL_CHECK_OK(builder.ApplyFlags(flags));
-  builder.Threads(static_cast<uint32_t>(num_threads));
-  const bool ordered =
-      builder.options().ordering == IngestOrdering::kOrdered;
+  // Parallel build through the builder: the calling thread routes
+  // pre-hashed half-edge batches to per-shard rings; one worker per shard
+  // applies them. Every vertex's sketch lives in exactly one shard, so
+  // total memory matches the sequential build.
   Stopwatch parallel_timer;
   VectorEdgeStream parallel_stream(g.edges);
   uint64_t edges_ingested = 0;
-  auto parallel = builder.Ingest(parallel_stream, &edges_ingested);
+  auto parallel =
+      IngestEngineBuilder(config)
+          .Threads(static_cast<uint32_t>(num_threads))
+          .Ingest(parallel_stream, &edges_ingested);
   SL_CHECK_OK(parallel.status());
   double parallel_seconds = parallel_timer.ElapsedSeconds();
   unsigned hardware = std::thread::hardware_concurrency();
-  std::printf("%d-thread %s build:  %s  (%.2fx on %u hardware thread%s)\n",
-              num_threads,
-              IngestOrderingName(builder.options().ordering).c_str(),
-              FormatDuration(parallel_seconds).c_str(),
+  std::printf("%d-thread build:  %s  (%.2fx on %u hardware thread%s)\n",
+              num_threads, FormatDuration(parallel_seconds).c_str(),
               sequential_seconds / parallel_seconds, hardware,
               hardware == 1 ? "" : "s");
   if (hardware < static_cast<unsigned>(num_threads)) {
@@ -94,10 +79,8 @@ int main(int argc, char** argv) {
               (*parallel)->name().c_str(),
               static_cast<unsigned long long>((*parallel)->edges_processed()));
 
-  // Verify estimates on random pairs against the sequential build. Ordered
-  // mode must match bit-for-bit; relaxed mode's disjoint-partition merge
-  // is lossless for minhash in practice, but its contract only promises
-  // oracle-bounded estimates, so the example reports without asserting.
+  // Verify estimates on random pairs against the sequential build: they
+  // must match bit-for-bit.
   Rng rng(1);
   int checked = 0, identical = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -111,8 +94,6 @@ int main(int argc, char** argv) {
   }
   std::printf("parallel == sequential on %d/%d sampled queries\n", identical,
               checked);
-  if (ordered) {
-    SL_CHECK(identical == checked) << "ordered build diverged from sequential";
-  }
+  SL_CHECK(identical == checked) << "parallel build diverged from sequential";
   return 0;
 }

@@ -7,28 +7,31 @@
 //   * the current hottest vertices (space-saving heavy hitters),
 //   * link-strength estimates for a fixed watchlist of pairs,
 //   * the distribution of each edge's "prior similarity" — the Jaccard of
-//     its endpoints estimated just BEFORE insertion (tracked by a
-//     Greenwald-Khanna quantile sketch): edges between already-similar
-//     endpoints are expected; links between dissimilar busy endpoints are
-//     the surprising ones an anomaly pipeline would flag.
+//     its endpoints estimated just BEFORE insertion (one score per edge,
+//     summarized with nearest-rank percentiles): edges between
+//     already-similar endpoints are expected; links between dissimilar
+//     busy endpoints are the surprising ones an anomaly pipeline would
+//     flag.
 // Everything is computed online; nothing about the graph is stored beyond
-// the sketches, the heavy-hitter counters, and the degree table.
+// the sketches, the heavy-hitter counters, the degree table, and the
+// per-edge similarity scores.
 //
 // Run:  ./examples/streaming_monitor [--edges 400000] [--checkpoints 8]
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "core/minhash_predictor.h"
 #include "core/triangle_counter.h"
 #include "gen/rmat.h"
-#include "sketch/quantile.h"
 #include "sketch/space_saving.h"
 #include "stream/edge_stream.h"
 #include "stream/rate_meter.h"
 #include "stream/stream_driver.h"
 #include "util/flags.h"
 #include "util/logging.h"
+#include "util/percentile.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -41,9 +44,11 @@ class HotVertexTracker : public EdgeConsumer {
  public:
   explicit HotVertexTracker(uint32_t capacity) : sketch_(capacity) {}
 
-  void OnEdge(const Edge& edge) override {
-    sketch_.Offer(edge.u);
-    sketch_.Offer(edge.v);
+  void OnEdgeBatch(const EdgeBatch& batch) override {
+    for (const Edge& edge : batch) {
+      sketch_.Offer(edge.u);
+      sketch_.Offer(edge.v);
+    }
   }
 
   const SpaceSaving& sketch() const { return sketch_; }
@@ -53,22 +58,29 @@ class HotVertexTracker : public EdgeConsumer {
 };
 
 /// Scores each edge's endpoint similarity just before the predictor
-/// absorbs it, folding the scores into a streaming quantile sketch.
-/// Register BEFORE the predictor so the estimate excludes the edge itself.
+/// absorbs it. Register BEFORE the predictor so the estimate excludes the
+/// edge itself.
 class PriorSimilarityTracker : public EdgeConsumer {
  public:
   explicit PriorSimilarityTracker(const MinHashPredictor& predictor)
-      : predictor_(predictor), quantiles_(0.01) {}
+      : predictor_(predictor) {}
 
-  void OnEdge(const Edge& edge) override {
-    quantiles_.Insert(predictor_.EstimateOverlap(edge.u, edge.v).jaccard);
+  void OnEdgeBatch(const EdgeBatch& batch) override {
+    for (const Edge& edge : batch) {
+      scores_.push_back(predictor_.EstimateOverlap(edge.u, edge.v).jaccard);
+    }
   }
 
-  const QuantileSketch& quantiles() const { return quantiles_; }
+  /// The scores so far, ascending.
+  std::vector<double> Sorted() const {
+    std::vector<double> sorted = scores_;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  }
 
  private:
   const MinHashPredictor& predictor_;
-  QuantileSketch quantiles_;
+  std::vector<double> scores_;
 };
 
 }  // namespace
@@ -130,13 +142,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long>(counter.error));
   }
 
-  const QuantileSketch& q = similarity.quantiles();
-  std::printf(
-      "\nper-edge prior similarity (GK quantile sketch over %lu edges, "
-      "%zu tuples kept):\n",
-      static_cast<unsigned long>(q.count()), q.NumTuples());
-  std::printf("  p50=%.4f  p90=%.4f  p99=%.4f  max=%.4f\n", q.Median(),
-              q.Quantile(0.9), q.Quantile(0.99), q.Max());
+  const std::vector<double> q = similarity.Sorted();
+  std::printf("\nper-edge prior similarity (%zu edges):\n", q.size());
+  std::printf("  p50=%.4f  p90=%.4f  p99=%.4f  max=%.4f\n",
+              PercentileSorted(q, 0.5), PercentileSorted(q, 0.9),
+              PercentileSorted(q, 0.99), PercentileSorted(q, 1.0));
   std::printf(
       "  (edges arriving between already-similar endpoints score high; an\n"
       "   anomaly pipeline would flag busy pairs scoring near zero)\n");

@@ -69,26 +69,18 @@ Result<LinkMeasure> ParseMeasure(const std::string& name) {
 }
 
 /// Builds a predictor from the edges with `config.threads` ingestion
-/// workers (sequentially when threads == 1), honoring the shared ingest
-/// flags (--ingest-mode, --batch-edges, --ring-batches). Ordered builds
-/// are bit-identical to sequential either way.
+/// workers (sequentially when threads == 1); bit-identical either way.
 Result<std::unique_ptr<LinkPredictor>> BuildPredictor(
-    const FlagParser& flags, const PredictorConfig& config,
-    const EdgeList& edges) {
-  IngestEngineBuilder builder(config);
-  if (auto st = builder.ApplyFlags(flags); !st.ok()) return st;
+    const PredictorConfig& config, const EdgeList& edges) {
   VectorEdgeStream stream(edges);
-  return builder.Ingest(stream);
+  return IngestEngineBuilder(config).Ingest(stream);
 }
 
-/// The shared predictor + ingest flag names plus a command's own flags,
-/// for CheckUnknown.
+/// The shared predictor flag names plus a command's own flags, for
+/// CheckUnknown.
 std::vector<std::string> WithPredictorFlags(
     std::initializer_list<const char*> own) {
   std::vector<std::string> names = PredictorFlagNames();
-  for (const std::string& name : IngestEngineBuilder::FlagNames()) {
-    names.push_back(name);
-  }
   for (const char* name : own) names.emplace_back(name);
   return names;
 }
@@ -327,7 +319,6 @@ Status CmdBuild(const FlagParser& flags, std::ostream& out) {
   auto manager = OpenCheckpointFlags(flags);
   if (!manager.ok()) return manager.status();
   IngestEngineBuilder builder(config);
-  if (auto st = builder.ApplyFlags(flags); !st.ok()) return st;
   builder.Metrics(obs.registry());
   if (manager->has_value()) {
     (*manager)->BindMetrics(obs.registry());
@@ -491,7 +482,7 @@ Status CmdTopK(const FlagParser& flags, std::ostream& out) {
   defaults.sketch_size = 128;
   defaults.seed = 42;
   PredictorConfig config = PredictorConfigFromFlags(flags, defaults);
-  auto predictor = BuildPredictor(flags, config, file->edges);
+  auto predictor = BuildPredictor(config, file->edges);
   if (!predictor.ok()) return predictor.status();
 
   CsrGraph snapshot = CsrGraph::FromEdges(file->edges, file->num_vertices);
@@ -551,22 +542,14 @@ Status CmdCompare(const FlagParser& flags, std::ostream& out) {
 
   TablePrinter table({"predictor", "k", "jaccard_mae", "cn_mre", "aa_mre",
                       "mbytes"});
-  IngestEngineBuilder ingest_flags;
-  if (auto st = ingest_flags.ApplyFlags(flags); !st.ok()) return st;
-  const bool relaxed =
-      ingest_flags.options().ordering == IngestOrdering::kRelaxed;
   for (const std::string& kind : PredictorKinds()) {
     if (kind == "exact" || kind == "windowed_minhash") continue;
     PredictorConfig config = base;
     config.kind = kind;
-    // Kinds the requested mode cannot parallelize (no vertex sharding for
-    // ordered, no lossless replica merge for relaxed) build sequentially
-    // so the comparison still covers every predictor.
-    if (relaxed ? !KindSupportsReplicatedMerge(kind)
-                : !KindSupportsSharding(kind)) {
-      config.threads = 1;
-    }
-    auto predictor = BuildPredictor(flags, config, graph.edges);
+    // Kinds without vertex sharding build sequentially so the comparison
+    // still covers every predictor.
+    if (!KindSupportsSharding(kind)) config.threads = 1;
+    auto predictor = BuildPredictor(config, graph.edges);
     if (!predictor.ok()) return predictor.status();
     ExactPredictor exact;
     FeedStream(exact, graph.edges);
@@ -650,7 +633,6 @@ Status CmdServeBench(const FlagParser& flags, std::ostream& out) {
   QueryService& service = *service_holder;
 
   IngestEngineBuilder builder(config);
-  if (auto st = builder.ApplyFlags(flags); !st.ok()) return st;
   builder.Metrics(obs.registry())
       .PublishEveryEdges(
           static_cast<uint64_t>(flags.GetInt("publish-edges", 5000)))
@@ -956,10 +938,7 @@ std::string CliUsage() {
       "running\n"
       "  --trace-out FILE     Chrome trace_event JSON of the run's spans\n"
       "predictor flags (build/topk/compare/serve-bench):\n" +
-      PredictorFlagsHelp() +
-      "ingest flags (build/topk/compare/serve-bench; "
-      "docs/parallel_ingest.md):\n" +
-      IngestEngineBuilder::FlagsHelp();
+      PredictorFlagsHelp();
 }
 
 Status RunCliCommand(const std::vector<std::string>& args,

@@ -17,13 +17,15 @@ DirectedMinHashPredictor::DirectedMinHashPredictor(
   SL_CHECK(options.num_hashes >= 1) << "num_hashes must be >= 1";
 }
 
-void DirectedMinHashPredictor::OnEdge(const Edge& edge) {
-  if (edge.IsSelfLoop()) return;
-  ++arcs_processed_;
-  out_store_.Mutable(edge.u).Update(edge.v, family_);
-  in_store_.Mutable(edge.v).Update(edge.u, family_);
-  out_degrees_.Increment(edge.u);
-  in_degrees_.Increment(edge.v);
+void DirectedMinHashPredictor::OnEdgeBatch(const EdgeBatch& batch) {
+  for (const Edge& edge : batch) {
+    if (edge.IsSelfLoop()) continue;
+    ++arcs_processed_;
+    out_store_.Mutable(edge.u).Update(edge.v, family_);
+    in_store_.Mutable(edge.v).Update(edge.u, family_);
+    out_degrees_.Increment(edge.u);
+    in_degrees_.Increment(edge.v);
+  }
 }
 
 VertexId DirectedMinHashPredictor::num_vertices() const {

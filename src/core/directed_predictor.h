@@ -49,16 +49,10 @@ class DirectedMinHashPredictor : public EdgeConsumer {
 
   std::string name() const { return "directed_minhash"; }
 
-  /// Ingests arc edge.u -> edge.v (order is meaningful). Self-loops
-  /// dropped.
-  void OnEdge(const Edge& edge) override;
-
-  /// Batched delivery (EdgeBatch API): arcs apply in order; lanes unused
-  /// (two per-side k-permutation families re-hash regardless).
-  using EdgeConsumer::OnEdgeBatch;
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& e : batch) OnEdge(e);
-  }
+  /// Ingests each arc edge.u -> edge.v in order (order is meaningful).
+  /// Self-loops dropped; lanes unused (two per-side k-permutation families
+  /// re-hash regardless).
+  void OnEdgeBatch(const EdgeBatch& batch) override;
 
   uint64_t arcs_processed() const { return arcs_processed_; }
   VertexId num_vertices() const;

@@ -114,12 +114,6 @@ class LinkPredictor : public EdgeConsumer {
   /// Total heap footprint of the predictor's state in bytes.
   virtual uint64_t MemoryBytes() const = 0;
 
-  void OnEdge(const Edge& edge) final {
-    if (edge.IsSelfLoop()) return;
-    ++edges_processed_;
-    ProcessEdge(edge);
-  }
-
   /// Retracts one previously inserted edge — the turnstile counterpart of
   /// OnEdge. Filters self-loops, accounts the delete, and hands the edge to
   /// ProcessDelete. Only kinds with SupportsDeletions() implement the
@@ -175,12 +169,6 @@ class LinkPredictor : public EdgeConsumer {
       }
     }
     flush(batch.size());
-  }
-
-  /// Legacy raw signature: routed through the EdgeBatch path so both
-  /// spellings stay byte-equivalent.
-  void OnEdgeBatch(const Edge* edges, size_t count) final {
-    OnEdgeBatch(EdgeBatch(edges, count));
   }
 
   /// Folds `count` externally-accounted edges into edges_processed().

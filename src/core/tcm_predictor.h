@@ -29,8 +29,7 @@ struct TcmPredictorOptions {
 /// whose DeleteEdge is native — retracting an edge subtracts exactly what
 /// inserting it added, cell-for-cell and counter-for-counter, so
 /// insert∘delete annihilation is bit-identical and holds across every
-/// sharded/relaxed ingest configuration (all state is order-independent
-/// sums).
+/// sharded ingest configuration (all state is order-independent sums).
 ///
 /// Estimators: common neighbors from the one-sided TCM intersection
 /// estimate (clamped to min(d(u), d(v))); Jaccard via |∪| = d(u)+d(v)−|∩|.

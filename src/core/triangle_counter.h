@@ -33,17 +33,11 @@ class StreamingTriangleCounter : public EdgeConsumer {
  public:
   explicit StreamingTriangleCounter(const TriangleCounterOptions& options = {});
 
-  /// Ingests one edge: accumulates the pre-insert ĈN(u, v), then updates
-  /// the sketches. O(k).
-  void OnEdge(const Edge& edge) override;
-
-  /// Batched delivery (EdgeBatch API). The estimator is order-dependent
-  /// (each edge's ĈN is read pre-insert), so a batch is strictly the
-  /// amortized loop — no reordering, no lane use.
-  using EdgeConsumer::OnEdgeBatch;
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& e : batch) OnEdge(e);
-  }
+  /// Ingests each edge in order: accumulates the pre-insert ĈN(u, v),
+  /// then updates the sketches. O(k) per edge. The estimator is
+  /// order-dependent (each edge's ĈN is read pre-insert), so a batch is
+  /// strictly the amortized loop — no reordering, no lane use.
+  void OnEdgeBatch(const EdgeBatch& batch) override;
 
   /// Estimated number of triangles in the graph so far.
   double Estimate() const { return triangle_estimate_; }

@@ -71,9 +71,8 @@ class Gauge {
 /// worst case, exact for log-uniform data) — the right fidelity for a
 /// monitoring dashboard at per-sample cost independent of history length.
 ///
-/// This is the *single* histogram implementation in the tree; the serving
-/// layer's LatencyHistogram (serve/latency_histogram.h) is a thin
-/// seconds-to-nanoseconds adapter over it.
+/// This is the *single* histogram implementation in the tree;
+/// LatencyHistogram below is a thin seconds-to-nanoseconds adapter over it.
 class Histogram {
  public:
   /// 2^63 covers the whole uint64 value range.
@@ -200,8 +199,7 @@ class MetricsRegistry {
 };
 
 /// Seconds-based adapter over Histogram for wall-time latencies: records
-/// in nanoseconds, reads back in microseconds. Kept API-compatible with
-/// the pre-obs serve/latency_histogram.h class.
+/// in nanoseconds, reads back in microseconds.
 class LatencyHistogram : public Histogram {
  public:
   /// Records one sample of `seconds` wall time.

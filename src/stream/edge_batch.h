@@ -110,25 +110,20 @@ class EdgeBatch {
 
 /// Owning storage a producer fills and ships (by move) to a consumer, which
 /// reads it through View(). Appending with a hash on one element and
-/// without on another is a bug — lanes are all-or-nothing per buffer, and
-/// View() drops a lane whose length disagrees with the edge count.
+/// without on another is a bug — hash lanes are all-or-nothing per buffer,
+/// and View() drops a lane whose length disagrees with the edge count.
 struct EdgeBatchBuffer {
   EdgeList edges;
-  std::vector<uint64_t> hash_u;
   std::vector<uint64_t> hash_v;
   std::vector<EdgeOp> ops;
 
-  void Reserve(size_t n, bool with_hash_u, bool with_hash_v,
-               bool with_ops = false) {
+  void Reserve(size_t n, bool with_hash_v) {
     edges.reserve(n);
-    if (with_hash_u) hash_u.reserve(n);
     if (with_hash_v) hash_v.reserve(n);
-    if (with_ops) ops.reserve(n);
   }
 
   void Clear() {
     edges.clear();
-    hash_u.clear();
     hash_v.clear();
     ops.clear();
   }
@@ -136,50 +131,41 @@ struct EdgeBatchBuffer {
   size_t size() const { return edges.size(); }
   bool empty() const { return edges.empty(); }
 
-  void Append(const Edge& e) { edges.push_back(e); }
-
-  /// Appends a whole edge with an explicit turnstile op.
-  void AppendOp(const Edge& e, EdgeOp op) {
+  /// Appends a whole edge, or a half-edge (owner u, neighbor v) without a
+  /// hash lane.
+  void Append(const Edge& e, EdgeOp op = EdgeOp::kInsert) {
+    AppendOpLane(op);
     edges.push_back(e);
-    ops.push_back(op);
   }
 
   /// Appends a half-edge (owner u, neighbor v) with the neighbor's
   /// pre-computed hash.
-  void AppendHalfEdge(VertexId u, VertexId v, uint64_t neighbor_hash) {
+  void AppendHalfEdge(VertexId u, VertexId v, uint64_t neighbor_hash,
+                      EdgeOp op = EdgeOp::kInsert) {
+    AppendOpLane(op);
     edges.emplace_back(u, v);
     hash_v.push_back(neighbor_hash);
-  }
-
-  /// Appends a half-edge with both an op and the neighbor's hash.
-  void AppendHalfEdgeOp(VertexId u, VertexId v, uint64_t neighbor_hash,
-                        EdgeOp op) {
-    edges.emplace_back(u, v);
-    hash_v.push_back(neighbor_hash);
-    ops.push_back(op);
-  }
-
-  /// Appends a half-edge with an op and no hash lane.
-  void AppendHalfEdgePlainOp(VertexId u, VertexId v, EdgeOp op) {
-    edges.emplace_back(u, v);
-    ops.push_back(op);
-  }
-
-  /// Appends a whole edge with both endpoint hashes.
-  void AppendHashed(const Edge& e, uint64_t hu, uint64_t hv) {
-    edges.push_back(e);
-    hash_u.push_back(hu);
-    hash_v.push_back(hv);
   }
 
   EdgeBatch View() const {
     return EdgeBatch(
-        edges.data(), edges.size(),
-        hash_u.size() == edges.size() && !edges.empty() ? hash_u.data()
-                                                        : nullptr,
+        edges.data(), edges.size(), /*hash_u=*/nullptr,
         hash_v.size() == edges.size() && !edges.empty() ? hash_v.data()
                                                         : nullptr,
         ops.size() == edges.size() && !edges.empty() ? ops.data() : nullptr);
+  }
+
+ private:
+  /// The op lane is materialized at the first delete, earlier elements
+  /// backfilled as inserts, so an insert-only batch carries no op lane and
+  /// keeps the op-free fast path.
+  void AppendOpLane(EdgeOp op) {
+    if (ops.empty()) {
+      if (op == EdgeOp::kInsert) return;
+      ops.reserve(edges.capacity());
+      ops.assign(edges.size(), EdgeOp::kInsert);
+    }
+    ops.push_back(op);
   }
 };
 

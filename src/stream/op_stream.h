@@ -6,6 +6,7 @@
 
 #include "graph/types.h"
 #include "stream/edge_batch.h"
+#include "stream/edge_stream.h"
 
 namespace streamlink {
 
@@ -62,6 +63,26 @@ class VectorOpStream : public OpStream {
  private:
   EdgeEventList events_;
   size_t pos_ = 0;
+};
+
+/// An EdgeStream read as an OpStream whose every event is an insert — how
+/// an insert-only stream enters code written once for turnstile streams
+/// (ParallelIngestEngine's ingest loop). Does not own the edge stream.
+class InsertOnlyOpStream final : public OpStream {
+ public:
+  explicit InsertOnlyOpStream(EdgeStream& edges) : edges_(edges) {}
+
+  bool Next(EdgeEvent* event) override {
+    event->op = EdgeOp::kInsert;
+    return edges_.Next(&event->edge);
+  }
+  void Reset() override { edges_.Reset(); }
+  size_t SizeHint() const override {
+    return static_cast<size_t>(edges_.SizeHint());
+  }
+
+ private:
+  EdgeStream& edges_;
 };
 
 }  // namespace streamlink

@@ -1,71 +1,22 @@
 #include "stream/parallel_ingest.h"
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/bottomk_predictor.h"
-#include "core/minhash_predictor.h"
 #include "core/sharded_predictor.h"
-#include "core/tcm_predictor.h"
 #include "core/tombstone_predictor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stream/edge_batch.h"
 #include "stream/rate_meter.h"
 #include "stream/spsc_ring.h"
-#include "util/flags.h"
 #include "util/hashing.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace streamlink {
-
-std::string IngestOrderingName(IngestOrdering ordering) {
-  return ordering == IngestOrdering::kOrdered ? "ordered" : "relaxed";
-}
-
-Result<IngestOrdering> ParseIngestOrdering(const std::string& name) {
-  if (name == "ordered") return IngestOrdering::kOrdered;
-  if (name == "relaxed") return IngestOrdering::kRelaxed;
-  return Status::InvalidArgument("unknown ingest mode '" + name +
-                                 "' (want ordered|relaxed)");
-}
-
-bool KindSupportsReplicatedMerge(const std::string& kind) {
-  // The kinds whose MergeFrom folds disjoint stream partitions losslessly
-  // (CheckMergeAssociativity covers exactly these). tcm qualifies for
-  // turnstile streams too: cells and degrees are signed sums, so a replica
-  // that sees a delete before its insert dips negative and heals at fold.
-  return kind == "minhash" || kind == "bottomk" || kind == "tcm";
-}
-
-Status IngestEngineBuilder::ApplyFlags(const FlagParser& flags) {
-  if (flags.Has("ingest-mode")) {
-    auto mode = ParseIngestOrdering(flags.GetString("ingest-mode", "ordered"));
-    if (!mode.ok()) return mode.status();
-    options_.ordering = *mode;
-  }
-  options_.batch_edges = static_cast<uint32_t>(
-      flags.GetInt("batch-edges", options_.batch_edges));
-  options_.ring_batches = static_cast<uint32_t>(
-      flags.GetInt("ring-batches", options_.ring_batches));
-  return Status::Ok();
-}
-
-std::vector<std::string> IngestEngineBuilder::FlagNames() {
-  return {"ingest-mode", "batch-edges", "ring-batches"};
-}
-
-std::string IngestEngineBuilder::FlagsHelp() {
-  return
-      "  --ingest-mode M      ordered (bit-identical, default) | relaxed\n"
-      "                       (merge-folded replicas, throughput over\n"
-      "                       determinism; minhash/bottomk/tcm only)\n"
-      "  --batch-edges N      edges per parallel-ingest ring batch\n"
-      "  --ring-batches N     ring capacity in batches per worker\n";
-}
 
 namespace {
 
@@ -105,9 +56,12 @@ struct IngestMetrics {
   obs::Histogram* queue_wait_ns = nullptr;     // ingest.queue_wait_ns
   obs::Histogram* publish_ns = nullptr;        // ingest.publish_ns
   std::vector<obs::Counter*> shard_half_edges;
+  RateMeter rate{/*window_seconds=*/1.0};
+  uint64_t noted_edges = 0;  // stream frontier already folded in
 
-  explicit IngestMetrics(obs::MetricsRegistry* registry,
-                         uint32_t num_shards) {
+  /// `num_shards` per-shard counters are registered; 0 for a sequential
+  /// build, which has no shards to count.
+  IngestMetrics(obs::MetricsRegistry* registry, uint32_t num_shards) {
     if (registry == nullptr) return;
     edges = &registry->GetCounter("ingest.edges_total");
     publishes = &registry->GetCounter("ingest.publishes_total");
@@ -128,14 +82,20 @@ struct IngestMetrics {
 
   /// Folds the stream frontier into the counter/gauges; called at batch
   /// and publish boundaries, never per edge.
-  void NoteFrontier(uint64_t edges_now, uint64_t* last_noted,
-                    RateMeter* rate) {
-    if (!enabled() || edges_now == *last_noted) return;
-    edges->Add(edges_now - *last_noted);
-    rate->RecordNow(edges_now - *last_noted);
-    window_eps->Set(rate->WindowRate());
-    *last_noted = edges_now;
+  void NoteFrontier(uint64_t edges_now) {
+    if (!enabled() || edges_now == noted_edges) return;
+    edges->Add(edges_now - noted_edges);
+    rate.RecordNow(edges_now - noted_edges);
+    window_eps->Set(rate.WindowRate());
+    noted_edges = edges_now;
     live_edges->Set(static_cast<double>(edges_now));
+  }
+
+  /// Records one delivered batch and the frontier it leaves behind.
+  void NoteBatch(size_t size, uint64_t edges_now) {
+    if (!enabled()) return;
+    batch_half_edges->Record(size);
+    NoteFrontier(edges_now);
   }
 
   /// Times `on_publish` and counts it.
@@ -264,48 +224,224 @@ void ShardWorker(BatchRing& ring, LinkPredictor& shard, EpochBarrier& epochs,
   }
 }
 
-/// Whole-edge replica worker for kRelaxed: no routing, no epochs — each
-/// replica is a full predictor ingesting its partition through the normal
-/// OnEdgeBatch path (which also does the edge accounting).
-void ReplicaWorker(BatchRing& ring, LinkPredictor& replica,
-                   obs::Counter* applied_counter) {
-  EdgeBatchBuffer batch;
-  Backoff backoff;
-  for (;;) {
-    if (ring.TryPop(&batch)) {
-      obs::ScopedSpan span("ingest/apply_batch");
-      replica.OnEdgeBatch(batch.View());
-      if (applied_counter != nullptr) applied_counter->Add(batch.size());
-      backoff.Reset();
-      continue;
-    }
-    if (ring.closed()) {
-      if (ring.TryPop(&batch)) {
-        replica.OnEdgeBatch(batch.View());
-        if (applied_counter != nullptr) applied_counter->Add(batch.size());
-        continue;
-      }
-      return;
-    }
-    backoff.Pause();
-  }
-}
+/// Where the ingest loop sends each event: one predictor on the calling
+/// thread, or N shard workers. Chosen once per build, from `threads`.
+class Sink {
+ public:
+  virtual ~Sink() = default;
+  Sink(const Sink&) = delete;  // shard workers hold `this`
+  Sink& operator=(const Sink&) = delete;
 
-/// Folds edge-partitioned replicas (all the same concrete kind) into
-/// replicas[0] via the kind's lossless disjoint-partition MergeFrom
-/// (which also accumulates the edge tallies). Returns nullptr if the
-/// concrete type is not T (caller tries the next kind).
-template <typename T>
-std::unique_ptr<LinkPredictor> FoldReplicas(
-    std::vector<std::unique_ptr<LinkPredictor>>* replicas) {
-  T* base = dynamic_cast<T*>((*replicas)[0].get());
-  if (base == nullptr) return nullptr;
-  for (size_t i = 1; i < replicas->size(); ++i) {
-    T* peer = dynamic_cast<T*>((*replicas)[i].get());
-    SL_CHECK(peer != nullptr) << "mixed replica kinds";
-    base->MergeFrom(*peer);
+  virtual void Add(const EdgeEvent& event) = 0;
+
+  /// Delivers every event added so far and waits until it is applied:
+  /// predictor() is then quiescent and its edge and delete counts settled.
+  virtual void Quiesce() = 0;
+
+  /// The end-of-stream Quiesce; also retires any workers.
+  virtual void Finish() = 0;
+
+  const LinkPredictor& predictor() const { return *predictor_; }
+  std::unique_ptr<LinkPredictor> Release() { return std::move(predictor_); }
+
+ protected:
+  /// `cursor` is the loop's event count, which batch metrics record.
+  Sink(std::unique_ptr<LinkPredictor> predictor,
+       const ParallelIngestOptions& options, IngestMetrics& metrics,
+       const uint64_t& cursor)
+      : predictor_(std::move(predictor)),
+        batch_edges_(options.batch_edges),
+        metrics_(metrics),
+        cursor_(cursor) {}
+
+  std::unique_ptr<LinkPredictor> predictor_;
+  const uint32_t batch_edges_;
+  IngestMetrics& metrics_;
+  const uint64_t& cursor_;
+};
+
+/// threads == 1: whole-edge batches into one predictor on the calling
+/// thread. The predictor's OnEdgeBatch filters self-loops and counts edges
+/// and deletes itself.
+class PredictorSink final : public Sink {
+ public:
+  PredictorSink(std::unique_ptr<LinkPredictor> predictor,
+                const ParallelIngestOptions& options, IngestMetrics& metrics,
+                const uint64_t& cursor)
+      : Sink(std::move(predictor), options, metrics, cursor) {
+    batch_.Reserve(batch_edges_, /*with_hash_v=*/false);
   }
-  return std::move((*replicas)[0]);
+
+  void Add(const EdgeEvent& event) override {
+    batch_.Append(event.edge, event.op);
+    if (batch_.size() >= batch_edges_) Deliver();
+  }
+
+  void Quiesce() override {
+    if (!batch_.empty()) Deliver();
+  }
+
+  void Finish() override {
+    Quiesce();
+    // Drain the deferred-insert lag before final queries.
+    auto* tomb = dynamic_cast<TombstoneWindowPredictor*>(predictor_.get());
+    if (tomb != nullptr) tomb->Flush();
+  }
+
+ private:
+  void Deliver() {
+    predictor_->OnEdgeBatch(batch_.View());
+    metrics_.NoteBatch(batch_.size(), cursor_);
+    batch_.Clear();
+  }
+
+  EdgeBatchBuffer batch_;
+};
+
+/// threads > 1: the calling thread routes each event as two half-edges to
+/// the rings of the endpoints' owning shards, and one worker per shard
+/// applies them. Every vertex's half-edge events (observe and retract
+/// alike) reach its single owner in stream order, which — with
+/// commutative, idempotent sketch updates — makes the final state
+/// bit-identical to a sequential build. No two threads ever touch the same
+/// shard, so the shards need no internal locking.
+class ShardSink final : public Sink {
+ public:
+  ShardSink(std::unique_ptr<ShardedPredictor> sharded,
+            const ParallelIngestOptions& options, IngestMetrics& metrics,
+            const uint64_t& cursor)
+      : Sink(std::move(sharded), options, metrics, cursor),
+        sharded_(static_cast<ShardedPredictor&>(*predictor_)),
+        epochs_(sharded_.num_shards()),
+        pending_(sharded_.num_shards()),
+        pushed_(sharded_.num_shards(), 0) {
+    // Pre-hash contract: if the kind's half-edge kernel consumes one
+    // seeded neighbor hash (bottomk), the router computes it once per
+    // half-edge into the batch's hash_v lane and the workers never hash.
+    uint64_t neighbor_seed = 0;
+    pre_hash_ = sharded_.shard(0).NeighborHashSeed(&neighbor_seed);
+    mixed_seed_ = pre_hash_ ? MixSeed(neighbor_seed) : 0;
+
+    const uint32_t num_shards = sharded_.num_shards();
+    rings_.reserve(num_shards);
+    workers_.reserve(num_shards);
+    for (uint32_t t = 0; t < num_shards; ++t) {
+      pending_[t].Reserve(batch_edges_, pre_hash_);
+      rings_.push_back(std::make_unique<BatchRing>(options.ring_batches));
+    }
+    for (uint32_t t = 0; t < num_shards; ++t) {
+      obs::Counter* applied_counter =
+          metrics_.enabled() ? metrics_.shard_half_edges[t] : nullptr;
+      workers_.emplace_back([this, applied_counter, t] {
+        ShardWorker(*rings_[t], sharded_.shard(t), epochs_, t,
+                    applied_counter);
+      });
+    }
+  }
+
+  ~ShardSink() override { Stop(); }
+
+  void Add(const EdgeEvent& event) override {
+    const Edge& edge = event.edge;
+    if (edge.IsSelfLoop()) return;
+    ++(event.op == EdgeOp::kDelete ? deletes_ : inserts_);
+    Route(edge.u, edge.v, event.op);
+    Route(edge.v, edge.u, event.op);
+  }
+
+  /// A publish barrier: flush every partial batch, await the epoch (all
+  /// pushed batches applied; the workers then spin in empty-ring backoff,
+  /// not under a lock), and settle the counts. Cost is one drain of the
+  /// in-flight window, amortized over the cadence.
+  void Quiesce() override {
+    for (uint32_t t = 0; t < pending_.size(); ++t) {
+      if (!pending_[t].empty()) Push(t);
+    }
+    epochs_.AwaitQuiesced(pushed_);
+    // Half-edge kernels count nothing (two half-edges are one edge); the
+    // container owns the stream's edge and delete tallies.
+    sharded_.AddProcessedEdges(inserts_ - settled_inserts_);
+    sharded_.AddProcessedDeletes(deletes_ - settled_deletes_);
+    settled_inserts_ = inserts_;
+    settled_deletes_ = deletes_;
+  }
+
+  void Finish() override {
+    Quiesce();
+    Stop();
+  }
+
+ private:
+  /// Appends the half-edge "u gained (or lost) neighbor" to u's owner.
+  void Route(VertexId u, VertexId neighbor, EdgeOp op) {
+    const uint32_t owner = sharded_.OwnerOf(u);
+    EdgeBatchBuffer& batch = pending_[owner];
+    if (pre_hash_) {
+      batch.AppendHalfEdge(u, neighbor,
+                           HashU64WithMixedSeed(neighbor, mixed_seed_), op);
+    } else {
+      batch.Append(Edge(u, neighbor), op);
+    }
+    if (batch.size() >= batch_edges_) Push(owner);
+  }
+
+  /// Ships pending_[owner] into the owner's ring. The wait histogram
+  /// records once per batch; the stall counter once per full-on-entry push.
+  void Push(uint32_t owner) {
+    EdgeBatchBuffer& batch = pending_[owner];
+    metrics_.NoteBatch(batch.size(), cursor_);
+    const uint64_t t0 = metrics_.enabled() ? obs::Tracer::NowNs() : 0;
+    if (!rings_[owner]->TryPush(batch)) {
+      if (metrics_.enabled()) metrics_.ring_full_stalls->Add(1);
+      Backoff backoff;
+      do {
+        backoff.Pause();
+      } while (!rings_[owner]->TryPush(batch));
+    }
+    if (metrics_.enabled()) {
+      metrics_.queue_wait_ns->Record(obs::Tracer::NowNs() - t0);
+    }
+    ++pushed_[owner];
+    batch.Clear();
+    batch.Reserve(batch_edges_, pre_hash_);
+  }
+
+  /// Closes every ring; each worker drains its ring and exits.
+  void Stop() {
+    for (auto& ring : rings_) ring->Close();
+    for (auto& worker : workers_) {
+      if (worker.joinable()) worker.join();
+    }
+  }
+
+  ShardedPredictor& sharded_;
+  bool pre_hash_ = false;
+  uint64_t mixed_seed_ = 0;
+  EpochBarrier epochs_;
+  std::vector<EdgeBatchBuffer> pending_;
+  std::vector<uint64_t> pushed_;
+  std::vector<std::unique_ptr<BatchRing>> rings_;
+  std::vector<std::thread> workers_;
+  uint64_t inserts_ = 0;  // non-self-loop insert events
+  uint64_t deletes_ = 0;  // non-self-loop delete events
+  uint64_t settled_inserts_ = 0;
+  uint64_t settled_deletes_ = 0;
+};
+
+Result<std::unique_ptr<Sink>> MakeSink(const PredictorConfig& config,
+                                       const ParallelIngestOptions& options,
+                                       IngestMetrics& metrics,
+                                       const uint64_t& cursor) {
+  if (config.threads == 1) {
+    auto predictor = MakePredictor(config);
+    if (!predictor.ok()) return predictor.status();
+    return std::unique_ptr<Sink>(
+        new PredictorSink(std::move(*predictor), options, metrics, cursor));
+  }
+  auto sharded = ShardedPredictor::Make(config);
+  if (!sharded.ok()) return sharded.status();
+  return std::unique_ptr<Sink>(
+      new ShardSink(std::move(*sharded), options, metrics, cursor));
 }
 
 }  // namespace
@@ -314,7 +450,7 @@ ParallelIngestEngine::ParallelIngestEngine(PredictorConfig config,
                                            ParallelIngestOptions options)
     : config_(std::move(config)), options_(std::move(options)) {}
 
-Status ParallelIngestEngine::Validate() const {
+Status ParallelIngestEngine::Validate(bool turnstile) const {
   if (config_.threads == 0) {
     return Status::InvalidArgument("threads must be >= 1, got 0");
   }
@@ -330,611 +466,63 @@ Status ParallelIngestEngine::Validate() const {
     return Status::InvalidArgument(
         "publish cadence set but no on_publish callback");
   }
-  if (config_.threads > 1 && options_.ordering == IngestOrdering::kRelaxed) {
-    if (cadence_set) {
-      return Status::InvalidArgument(
-          "relaxed ingest cannot live-publish: replicas only merge at "
-          "end-of-stream (use ordered mode with a publish cadence)");
-    }
-    if (!KindSupportsReplicatedMerge(config_.kind)) {
-      return Status::InvalidArgument(
-          "predictor kind '" + config_.kind +
-          "' has no lossless disjoint-partition merge; relaxed ingest "
-          "supports minhash and bottomk");
-    }
+  if (turnstile && !KindSupportsDeletions(config_.kind) &&
+      !(config_.threads == 1 && config_.tombstone_window > 0)) {
+    return Status::InvalidArgument(
+        "predictor kind '" + config_.kind +
+        "' cannot ingest deletions; use a deletable kind "
+        "(KindSupportsDeletions) or a sequential tombstone window");
   }
   return Status::Ok();
 }
 
 Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Build(
     EdgeStream& stream) {
-  edges_ingested_ = 0;
-  deletes_ingested_ = 0;
-  if (Status st = Validate(); !st.ok()) return st;
-  obs::ScopedSpan build_span("ingest/build");
-  if (config_.threads == 1) return BuildSequential(stream);
-  if (options_.ordering == IngestOrdering::kRelaxed) {
-    return BuildRelaxed(stream);
-  }
-  return BuildOrdered(stream);
-}
-
-Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::BuildSequential(
-    EdgeStream& stream) {
-  PublishCadence cadence(options_);
-  IngestMetrics metrics(options_.metrics, /*num_shards=*/1);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;  // stream frontier already folded into metrics
-
-  auto predictor = MakePredictor(config_);
-  if (!predictor.ok()) return predictor.status();
-  EdgeList batch;
-  batch.reserve(options_.batch_edges);
-  auto deliver = [&] {
-    (*predictor)->OnEdgeBatch(EdgeBatch(batch.data(), batch.size()));
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(batch.size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    batch.clear();
-  };
-  Edge edge;
-  while (stream.Next(&edge)) {
-    ++edges_ingested_;
-    batch.push_back(edge);
-    if (batch.size() >= options_.batch_edges) deliver();
-    if (cadence.Due(edges_ingested_)) {
-      if (!batch.empty()) deliver();
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-      metrics.TimedPublish(options_.on_publish, **predictor,
-                           edges_ingested_);
-      cadence.Published(edges_ingested_);
-    }
-  }
-  if (!batch.empty()) deliver();
-  if (auto* tomb = dynamic_cast<TombstoneWindowPredictor*>(predictor->get())) {
-    tomb->Flush();  // drain the deferred-insert lag before final queries
-  }
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-  if (cadence.enabled()) {
-    metrics.TimedPublish(options_.on_publish, **predictor, edges_ingested_);
-  }
-  return std::move(*predictor);
-}
-
-Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::BuildOrdered(
-    EdgeStream& stream) {
-  PublishCadence cadence(options_);
-  IngestMetrics metrics(options_.metrics, config_.threads);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;
-
-  auto sharded_result = ShardedPredictor::Make(config_);
-  if (!sharded_result.ok()) return sharded_result.status();
-  std::unique_ptr<ShardedPredictor> sharded = std::move(*sharded_result);
-  const uint32_t num_shards = sharded->num_shards();
-
-  // Pre-hash contract: if the kind's half-edge kernel consumes one seeded
-  // neighbor hash (bottomk), the router computes it once per half-edge
-  // into the batch's hash_v lane and the workers never hash.
-  uint64_t neighbor_seed = 0;
-  const bool pre_hash = sharded->shard(0).NeighborHashSeed(&neighbor_seed);
-  const uint64_t mixed_seed = pre_hash ? MixSeed(neighbor_seed) : 0;
-
-  std::vector<std::unique_ptr<BatchRing>> rings;
-  rings.reserve(num_shards);
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    rings.push_back(std::make_unique<BatchRing>(options_.ring_batches));
-  }
-
-  // Each worker owns exactly one shard: no two threads ever touch the same
-  // predictor state, so the shards need no internal locking. The epoch
-  // barrier publishes each applied batch to the router's quiesce waits.
-  EpochBarrier epochs(num_shards);
-  std::vector<std::thread> workers;
-  workers.reserve(num_shards);
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    obs::Counter* applied_counter =
-        metrics.enabled() ? metrics.shard_half_edges[t] : nullptr;
-    workers.emplace_back([&sharded, &rings, &epochs, applied_counter, t] {
-      ShardWorker(*rings[t], sharded->shard(t), epochs, t, applied_counter);
-    });
-  }
-
-  // Route each edge as two half-edges to the endpoint owners. A shard's
-  // half-edges stay in stream order, which (with commutative, idempotent
-  // sketch updates) makes the final per-vertex state identical to a
-  // sequential build.
-  std::vector<EdgeBatchBuffer> pending(num_shards);
-  for (auto& p : pending) {
-    p.Reserve(options_.batch_edges, /*with_hash_u=*/false,
-              /*with_hash_v=*/pre_hash);
-  }
-  std::vector<uint64_t> pushed(num_shards, 0);
-  uint64_t simple_edges = 0;
-  uint64_t accounted_edges = 0;
-
-  // Ships pending[owner] into the owner's ring. The wait histogram records
-  // once per batch (it used to record only contended pushes); the stall
-  // counter increments once per full-on-entry push.
-  auto push = [&](uint32_t owner) {
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(pending[owner].size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    const uint64_t t0 = metrics.enabled() ? obs::Tracer::NowNs() : 0;
-    if (!rings[owner]->TryPush(pending[owner])) {
-      if (metrics.enabled()) metrics.ring_full_stalls->Add(1);
-      Backoff backoff;
-      do {
-        backoff.Pause();
-      } while (!rings[owner]->TryPush(pending[owner]));
-    }
-    if (metrics.enabled()) {
-      metrics.queue_wait_ns->Record(obs::Tracer::NowNs() - t0);
-    }
-    ++pushed[owner];
-    pending[owner].Clear();
-    pending[owner].Reserve(options_.batch_edges, false, pre_hash);
-  };
-
-  // A publish barrier: flush every partial batch, await the epoch (all
-  // pushed batches applied; the workers then spin in empty-ring backoff,
-  // not under a lock), bring the edge tally up to date, and hand the
-  // quiescent predictor out. Cost is one drain of the in-flight window,
-  // amortized over the cadence.
-  auto publish_quiesced = [&] {
-    for (uint32_t t = 0; t < num_shards; ++t) {
-      if (!pending[t].empty()) push(t);
-    }
-    epochs.AwaitQuiesced(pushed);
-    sharded->AddProcessedEdges(simple_edges - accounted_edges);
-    accounted_edges = simple_edges;
-    metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    metrics.TimedPublish(options_.on_publish, *sharded, edges_ingested_);
-  };
-
-  Edge edge;
-  while (stream.Next(&edge)) {
-    ++edges_ingested_;
-    if (!edge.IsSelfLoop()) {
-      ++simple_edges;
-      const uint32_t owner_u = sharded->OwnerOf(edge.u);
-      const uint32_t owner_v = sharded->OwnerOf(edge.v);
-      if (pre_hash) {
-        // Hash each endpoint once; each half-edge carries the OTHER
-        // endpoint's hash (its neighbor).
-        const uint64_t hash_u = HashU64WithMixedSeed(edge.u, mixed_seed);
-        const uint64_t hash_v = HashU64WithMixedSeed(edge.v, mixed_seed);
-        pending[owner_u].AppendHalfEdge(edge.u, edge.v, hash_v);
-        if (pending[owner_u].size() >= options_.batch_edges) push(owner_u);
-        pending[owner_v].AppendHalfEdge(edge.v, edge.u, hash_u);
-        if (pending[owner_v].size() >= options_.batch_edges) push(owner_v);
-      } else {
-        pending[owner_u].Append(edge);
-        if (pending[owner_u].size() >= options_.batch_edges) push(owner_u);
-        pending[owner_v].Append(Edge(edge.v, edge.u));
-        if (pending[owner_v].size() >= options_.batch_edges) push(owner_v);
-      }
-    }
-    if (cadence.Due(edges_ingested_)) {
-      publish_quiesced();
-      cadence.Published(edges_ingested_);
-    }
-  }
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    if (!pending[t].empty()) push(t);
-    rings[t]->Close();
-  }
-  for (auto& worker : workers) worker.join();
-
-  // ObserveNeighbor does not count edges (a full edge is two half-edges);
-  // account for the stream once, matching the sequential OnEdge tally.
-  sharded->AddProcessedEdges(simple_edges - accounted_edges);
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-  if (cadence.enabled()) {
-    metrics.TimedPublish(options_.on_publish, *sharded, edges_ingested_);
-  }
-  return std::unique_ptr<LinkPredictor>(std::move(sharded));
-}
-
-Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::BuildRelaxed(
-    EdgeStream& stream) {
-  IngestMetrics metrics(options_.metrics, config_.threads);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;
-  const uint32_t num_workers = config_.threads;
-
-  // One full replica per worker, each fed an arbitrary slice of whole
-  // edges — no routing, no ownership, no inter-worker coupling. MergeFrom
-  // folds them at the end (lossless for these kinds: sketch updates are
-  // commutative/idempotent and exact degree counters add).
-  PredictorConfig replica_config = config_;
-  replica_config.threads = 1;
-  std::vector<std::unique_ptr<LinkPredictor>> replicas;
-  replicas.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    auto replica = MakePredictor(replica_config);
-    if (!replica.ok()) return replica.status();
-    replicas.push_back(std::move(*replica));
-  }
-
-  uint64_t neighbor_seed = 0;
-  const bool pre_hash = replicas[0]->NeighborHashSeed(&neighbor_seed);
-  const uint64_t mixed_seed = pre_hash ? MixSeed(neighbor_seed) : 0;
-
-  std::vector<std::unique_ptr<BatchRing>> rings;
-  rings.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    rings.push_back(std::make_unique<BatchRing>(options_.ring_batches));
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    obs::Counter* applied_counter =
-        metrics.enabled() ? metrics.shard_half_edges[t] : nullptr;
-    workers.emplace_back([&replicas, &rings, applied_counter, t] {
-      ReplicaWorker(*rings[t], *replicas[t], applied_counter);
-    });
-  }
-
-  EdgeBatchBuffer pending;
-  pending.Reserve(options_.batch_edges, pre_hash, pre_hash);
-  uint32_t next_worker = 0;
-  auto push = [&] {
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(pending.size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    // Least-loaded-first would need shared occupancy reads; plain
-    // round-robin keeps the producer write-only and balances fine when
-    // batches are uniform work.
-    const uint32_t start = next_worker;
-    const uint64_t t0 = metrics.enabled() ? obs::Tracer::NowNs() : 0;
-    if (!rings[start]->TryPush(pending)) {
-      // Preferred ring is full: try the others once before backing off —
-      // in relaxed mode any worker can take any batch.
-      bool placed = false;
-      for (uint32_t step = 1; step < num_workers && !placed; ++step) {
-        placed = rings[(start + step) % num_workers]->TryPush(pending);
-      }
-      if (!placed) {
-        if (metrics.enabled()) metrics.ring_full_stalls->Add(1);
-        Backoff backoff;
-        do {
-          backoff.Pause();
-        } while (!rings[start]->TryPush(pending));
-      }
-    }
-    if (metrics.enabled()) {
-      metrics.queue_wait_ns->Record(obs::Tracer::NowNs() - t0);
-    }
-    next_worker = (start + 1) % num_workers;
-    pending.Clear();
-    pending.Reserve(options_.batch_edges, pre_hash, pre_hash);
-  };
-
-  Edge edge;
-  while (stream.Next(&edge)) {
-    ++edges_ingested_;
-    if (pre_hash) {
-      pending.AppendHashed(edge, HashU64WithMixedSeed(edge.u, mixed_seed),
-                           HashU64WithMixedSeed(edge.v, mixed_seed));
-    } else {
-      pending.Append(edge);
-    }
-    if (pending.size() >= options_.batch_edges) push();
-  }
-  if (!pending.empty()) push();
-  for (auto& ring : rings) ring->Close();
-  for (auto& worker : workers) worker.join();
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-
-  std::unique_ptr<LinkPredictor> folded =
-      FoldReplicas<MinHashPredictor>(&replicas);
-  if (folded == nullptr) folded = FoldReplicas<BottomKPredictor>(&replicas);
-  if (folded == nullptr) folded = FoldReplicas<TcmPredictor>(&replicas);
-  SL_CHECK(folded != nullptr)
-      << "relaxed ingest: no fold for kind " << config_.kind;
-  return folded;
-}
-
-Status ParallelIngestEngine::ValidateTurnstile() const {
-  if (KindSupportsDeletions(config_.kind)) return Status::Ok();
-  if (config_.threads == 1 && config_.tombstone_window > 0) {
-    return Status::Ok();
-  }
-  return Status::InvalidArgument(
-      "predictor kind '" + config_.kind +
-      "' cannot ingest deletions; use a deletable kind "
-      "(KindSupportsDeletions) or a sequential tombstone window");
+  // Insert-only batches carry no op lane (EdgeBatchBuffer adds it at the
+  // first delete), so they keep the op-free fast path.
+  InsertOnlyOpStream events(stream);
+  return Run(events, /*turnstile=*/false);
 }
 
 Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Build(
     OpStream& stream) {
-  edges_ingested_ = 0;
-  deletes_ingested_ = 0;
-  if (Status st = Validate(); !st.ok()) return st;
-  if (Status st = ValidateTurnstile(); !st.ok()) return st;
-  obs::ScopedSpan build_span("ingest/build");
-  if (config_.threads == 1) return BuildSequentialOps(stream);
-  if (options_.ordering == IngestOrdering::kRelaxed) {
-    return BuildRelaxedOps(stream);
-  }
-  return BuildOrderedOps(stream);
+  return Run(stream, /*turnstile=*/true);
 }
 
-Result<std::unique_ptr<LinkPredictor>>
-ParallelIngestEngine::BuildSequentialOps(OpStream& stream) {
+Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Run(
+    OpStream& stream, bool turnstile) {
+  edges_ingested_ = 0;
+  deletes_ingested_ = 0;
+  if (Status st = Validate(turnstile); !st.ok()) return st;
+  obs::ScopedSpan build_span("ingest/build");
+  IngestMetrics metrics(options_.metrics,
+                        config_.threads > 1 ? config_.threads : 0);
+  auto made = MakeSink(config_, options_, metrics, edges_ingested_);
+  if (!made.ok()) return made.status();
+  Sink& sink = **made;
   PublishCadence cadence(options_);
-  IngestMetrics metrics(options_.metrics, /*num_shards=*/1);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;
 
-  auto predictor = MakePredictor(config_);
-  if (!predictor.ok()) return predictor.status();
-  EdgeBatchBuffer batch;
-  batch.Reserve(options_.batch_edges, /*with_hash_u=*/false,
-                /*with_hash_v=*/false, /*with_ops=*/true);
-  auto deliver = [&] {
-    (*predictor)->OnEdgeBatch(batch.View());
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(batch.size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    batch.Clear();
-    batch.Reserve(options_.batch_edges, false, false, true);
-  };
   EdgeEvent event;
   while (stream.Next(&event)) {
     // The cursor counts *events* — deletes are staleness too.
     ++edges_ingested_;
     if (event.op == EdgeOp::kDelete) ++deletes_ingested_;
-    batch.AppendOp(event.edge, event.op);
-    if (batch.size() >= options_.batch_edges) deliver();
+    sink.Add(event);
     if (cadence.Due(edges_ingested_)) {
-      if (!batch.empty()) deliver();
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-      metrics.TimedPublish(options_.on_publish, **predictor,
+      sink.Quiesce();
+      metrics.NoteFrontier(edges_ingested_);
+      metrics.TimedPublish(options_.on_publish, sink.predictor(),
                            edges_ingested_);
       cadence.Published(edges_ingested_);
     }
   }
-  if (!batch.empty()) deliver();
-  if (auto* tomb = dynamic_cast<TombstoneWindowPredictor*>(predictor->get())) {
-    tomb->Flush();
-  }
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
+  sink.Finish();
+  metrics.NoteFrontier(edges_ingested_);
   if (cadence.enabled()) {
-    metrics.TimedPublish(options_.on_publish, **predictor, edges_ingested_);
+    metrics.TimedPublish(options_.on_publish, sink.predictor(),
+                         edges_ingested_);
   }
-  return std::move(*predictor);
-}
-
-Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::BuildOrderedOps(
-    OpStream& stream) {
-  PublishCadence cadence(options_);
-  IngestMetrics metrics(options_.metrics, config_.threads);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;
-
-  auto sharded_result = ShardedPredictor::Make(config_);
-  if (!sharded_result.ok()) return sharded_result.status();
-  std::unique_ptr<ShardedPredictor> sharded = std::move(*sharded_result);
-  const uint32_t num_shards = sharded->num_shards();
-
-  uint64_t neighbor_seed = 0;
-  const bool pre_hash = sharded->shard(0).NeighborHashSeed(&neighbor_seed);
-  const uint64_t mixed_seed = pre_hash ? MixSeed(neighbor_seed) : 0;
-
-  std::vector<std::unique_ptr<BatchRing>> rings;
-  rings.reserve(num_shards);
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    rings.push_back(std::make_unique<BatchRing>(options_.ring_batches));
-  }
-
-  EpochBarrier epochs(num_shards);
-  std::vector<std::thread> workers;
-  workers.reserve(num_shards);
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    obs::Counter* applied_counter =
-        metrics.enabled() ? metrics.shard_half_edges[t] : nullptr;
-    workers.emplace_back([&sharded, &rings, &epochs, applied_counter, t] {
-      ShardWorker(*rings[t], sharded->shard(t), epochs, t, applied_counter);
-    });
-  }
-
-  // Same routing invariant as the insert-only build, now with an op lane:
-  // every vertex's half-edge *events* (observe and retract alike) reach
-  // its single owning shard in stream order, so the result is
-  // bit-identical to a sequential replay of the event stream.
-  std::vector<EdgeBatchBuffer> pending(num_shards);
-  for (auto& p : pending) {
-    p.Reserve(options_.batch_edges, /*with_hash_u=*/false,
-              /*with_hash_v=*/pre_hash, /*with_ops=*/true);
-  }
-  std::vector<uint64_t> pushed(num_shards, 0);
-  uint64_t simple_edges = 0;     // non-self-loop insert events
-  uint64_t simple_deletes = 0;   // non-self-loop delete events
-  uint64_t accounted_edges = 0;
-  uint64_t accounted_deletes = 0;
-
-  auto push = [&](uint32_t owner) {
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(pending[owner].size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    const uint64_t t0 = metrics.enabled() ? obs::Tracer::NowNs() : 0;
-    if (!rings[owner]->TryPush(pending[owner])) {
-      if (metrics.enabled()) metrics.ring_full_stalls->Add(1);
-      Backoff backoff;
-      do {
-        backoff.Pause();
-      } while (!rings[owner]->TryPush(pending[owner]));
-    }
-    if (metrics.enabled()) {
-      metrics.queue_wait_ns->Record(obs::Tracer::NowNs() - t0);
-    }
-    ++pushed[owner];
-    pending[owner].Clear();
-    pending[owner].Reserve(options_.batch_edges, false, pre_hash, true);
-  };
-
-  // Half-edge kernels (Observe/RetractNeighbor) count nothing; the
-  // container owns the stream's edge and delete tallies, settled at every
-  // quiesce point so published snapshots carry consistent counters.
-  auto settle_counts = [&] {
-    sharded->AddProcessedEdges(simple_edges - accounted_edges);
-    sharded->AddProcessedDeletes(simple_deletes - accounted_deletes);
-    accounted_edges = simple_edges;
-    accounted_deletes = simple_deletes;
-  };
-  auto publish_quiesced = [&] {
-    for (uint32_t t = 0; t < num_shards; ++t) {
-      if (!pending[t].empty()) push(t);
-    }
-    epochs.AwaitQuiesced(pushed);
-    settle_counts();
-    metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    metrics.TimedPublish(options_.on_publish, *sharded, edges_ingested_);
-  };
-
-  EdgeEvent event;
-  while (stream.Next(&event)) {
-    ++edges_ingested_;
-    if (event.op == EdgeOp::kDelete) ++deletes_ingested_;
-    const Edge& edge = event.edge;
-    if (!edge.IsSelfLoop()) {
-      if (event.op == EdgeOp::kDelete) {
-        ++simple_deletes;
-      } else {
-        ++simple_edges;
-      }
-      const uint32_t owner_u = sharded->OwnerOf(edge.u);
-      const uint32_t owner_v = sharded->OwnerOf(edge.v);
-      if (pre_hash) {
-        const uint64_t hash_u = HashU64WithMixedSeed(edge.u, mixed_seed);
-        const uint64_t hash_v = HashU64WithMixedSeed(edge.v, mixed_seed);
-        pending[owner_u].AppendHalfEdgeOp(edge.u, edge.v, hash_v, event.op);
-        if (pending[owner_u].size() >= options_.batch_edges) push(owner_u);
-        pending[owner_v].AppendHalfEdgeOp(edge.v, edge.u, hash_u, event.op);
-        if (pending[owner_v].size() >= options_.batch_edges) push(owner_v);
-      } else {
-        pending[owner_u].AppendHalfEdgePlainOp(edge.u, edge.v, event.op);
-        if (pending[owner_u].size() >= options_.batch_edges) push(owner_u);
-        pending[owner_v].AppendHalfEdgePlainOp(edge.v, edge.u, event.op);
-        if (pending[owner_v].size() >= options_.batch_edges) push(owner_v);
-      }
-    }
-    if (cadence.Due(edges_ingested_)) {
-      publish_quiesced();
-      cadence.Published(edges_ingested_);
-    }
-  }
-  for (uint32_t t = 0; t < num_shards; ++t) {
-    if (!pending[t].empty()) push(t);
-    rings[t]->Close();
-  }
-  for (auto& worker : workers) worker.join();
-
-  settle_counts();
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-  if (cadence.enabled()) {
-    metrics.TimedPublish(options_.on_publish, *sharded, edges_ingested_);
-  }
-  return std::unique_ptr<LinkPredictor>(std::move(sharded));
-}
-
-Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::BuildRelaxedOps(
-    OpStream& stream) {
-  IngestMetrics metrics(options_.metrics, config_.threads);
-  RateMeter rate(/*window_seconds=*/1.0);
-  uint64_t metric_edges = 0;
-  const uint32_t num_workers = config_.threads;
-
-  // Whole-event replicas. The fold is lossless for turnstile streams only
-  // when the kind's state is a signed sum (tcm): a replica that receives a
-  // delete before another replica's matching insert simply dips negative
-  // and heals when MergeFrom adds the partitions back together.
-  PredictorConfig replica_config = config_;
-  replica_config.threads = 1;
-  std::vector<std::unique_ptr<LinkPredictor>> replicas;
-  replicas.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    auto replica = MakePredictor(replica_config);
-    if (!replica.ok()) return replica.status();
-    if (!(*replica)->SupportsDeletions()) {
-      return Status::InvalidArgument(
-          "relaxed turnstile ingest requires a natively deletable kind; '" +
-          config_.kind + "' is not");
-    }
-    replicas.push_back(std::move(*replica));
-  }
-
-  std::vector<std::unique_ptr<BatchRing>> rings;
-  rings.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    rings.push_back(std::make_unique<BatchRing>(options_.ring_batches));
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    obs::Counter* applied_counter =
-        metrics.enabled() ? metrics.shard_half_edges[t] : nullptr;
-    workers.emplace_back([&replicas, &rings, applied_counter, t] {
-      ReplicaWorker(*rings[t], *replicas[t], applied_counter);
-    });
-  }
-
-  // No pre-hash lane: the deletable kinds don't announce a neighbor seed.
-  EdgeBatchBuffer pending;
-  pending.Reserve(options_.batch_edges, /*with_hash_u=*/false,
-                  /*with_hash_v=*/false, /*with_ops=*/true);
-  uint32_t next_worker = 0;
-  auto push = [&] {
-    if (metrics.enabled()) {
-      metrics.batch_half_edges->Record(pending.size());
-      metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-    }
-    const uint32_t start = next_worker;
-    const uint64_t t0 = metrics.enabled() ? obs::Tracer::NowNs() : 0;
-    if (!rings[start]->TryPush(pending)) {
-      bool placed = false;
-      for (uint32_t step = 1; step < num_workers && !placed; ++step) {
-        placed = rings[(start + step) % num_workers]->TryPush(pending);
-      }
-      if (!placed) {
-        if (metrics.enabled()) metrics.ring_full_stalls->Add(1);
-        Backoff backoff;
-        do {
-          backoff.Pause();
-        } while (!rings[start]->TryPush(pending));
-      }
-    }
-    if (metrics.enabled()) {
-      metrics.queue_wait_ns->Record(obs::Tracer::NowNs() - t0);
-    }
-    next_worker = (start + 1) % num_workers;
-    pending.Clear();
-    pending.Reserve(options_.batch_edges, false, false, true);
-  };
-
-  EdgeEvent event;
-  while (stream.Next(&event)) {
-    ++edges_ingested_;
-    if (event.op == EdgeOp::kDelete) ++deletes_ingested_;
-    pending.AppendOp(event.edge, event.op);
-    if (pending.size() >= options_.batch_edges) push();
-  }
-  if (!pending.empty()) push();
-  for (auto& ring : rings) ring->Close();
-  for (auto& worker : workers) worker.join();
-  metrics.NoteFrontier(edges_ingested_, &metric_edges, &rate);
-
-  std::unique_ptr<LinkPredictor> folded = FoldReplicas<TcmPredictor>(&replicas);
-  SL_CHECK(folded != nullptr)
-      << "relaxed turnstile ingest: no fold for kind " << config_.kind;
-  return folded;
+  return sink.Release();
 }
 
 }  // namespace streamlink

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/predictor_factory.h"
 #include "graph/types.h"
@@ -14,8 +12,6 @@
 #include "util/status.h"
 
 namespace streamlink {
-
-class FlagParser;
 
 namespace obs {
 class MetricsRegistry;
@@ -31,113 +27,79 @@ class MetricsRegistry;
 using IngestPublishFn =
     std::function<void(const LinkPredictor&, uint64_t stream_edges)>;
 
-/// How a multi-threaded build trades determinism for throughput.
-enum class IngestOrdering {
-  /// Vertex-sharded ingestion, bit-identical to a sequential build: every
-  /// vertex's half-edges reach its single owning shard in stream order.
-  /// The default, and the only mode that supports live publishing.
-  kOrdered,
-  /// Edge-partitioned replicas folded by a disjoint-partition merge at
-  /// end-of-stream. No bit-identity promise and no live publishing — the
-  /// contract is only that final estimates pass the differential oracle
-  /// (src/verify/) within its Hoeffding tolerances. Available for kinds
-  /// with a lossless MergeFrom (KindSupportsReplicatedMerge); costs up to
-  /// threads× the per-vertex state during the build. In exchange the hot
-  /// path has no routing, no per-vertex ownership, and no quiesce
-  /// coupling between workers.
-  kRelaxed,
-};
-
-/// "ordered" / "relaxed".
-std::string IngestOrderingName(IngestOrdering ordering);
-
-/// Parses an --ingest-mode value; InvalidArgument on anything else.
-Result<IngestOrdering> ParseIngestOrdering(const std::string& name);
-
-/// True for kinds whose MergeFrom folds disjoint stream partitions
-/// losslessly (minhash, bottomk) — the precondition of kRelaxed.
-bool KindSupportsReplicatedMerge(const std::string& kind);
-
 /// Tuning knobs for ParallelIngestEngine. Prefer IngestEngineBuilder over
 /// filling this struct by hand; invalid combinations surface as
 /// InvalidArgument from Build, never as crashes.
 struct ParallelIngestOptions {
-  /// Edges per batch handed across a ring: half-edges per shard batch in
-  /// kOrdered, whole stream edges per replica batch in kRelaxed. Large
-  /// batches are the point of the design — hand-off cost, hash-lane
+  /// Edges per batch: half-edges per shard batch when threads > 1, whole
+  /// stream edges per predictor batch when threads == 1. Large batches
+  /// are the point of the design — hand-off cost, hash-lane
   /// pre-computation, and the one virtual dispatch all amortize over it.
   uint32_t batch_edges = 8192;
   /// Ring capacity in batches per worker (rounded up to a power of two).
   /// The router stalls — counted in ingest.ring_full_stalls — when a ring
   /// is full.
   uint32_t ring_batches = 64;
-  IngestOrdering ordering = IngestOrdering::kOrdered;
   /// Live-publish cadence in stream edges (0 = disabled): after every
   /// `publish_every_edges` edges pulled from the stream, the engine
   /// quiesces the shards (epoch barrier: waits until every shard's
   /// applied-batch counter catches its pushed-batch counter), invokes
   /// `on_publish`, then resumes routing. Also fires once at end-of-stream.
-  /// kOrdered only.
   uint64_t publish_every_edges = 0;
-  /// Time-based cadence in seconds (0 = disabled); checked at batch
-  /// granularity and composable with the edge-count cadence (either
-  /// trigger publishes and resets both). kOrdered only.
+  /// Time-based cadence in seconds (0 = disabled); checked once per 1024
+  /// stream edges and composable with the edge-count cadence (either
+  /// trigger publishes and resets both).
   double publish_every_seconds = 0.0;
   /// Required when either cadence is set.
   IngestPublishFn on_publish;
   /// When set, Build registers and maintains the `ingest.*` metric family
   /// (docs/observability.md): edge/publish counters, live-frontier and
   /// window-rate gauges, batch-size / ring-wait / publish-duration
-  /// histograms, the ring_full_stalls counter, and one
+  /// histograms, the ring_full_stalls counter, and (threads > 1) one
   /// `ingest.shard<t>.half_edges_total` counter per worker. Updates happen
   /// at batch granularity, never per edge. The registry must outlive
   /// Build; nullptr (default) disables all instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Builds a predictor from an edge stream using `config.threads` ingestion
-/// workers.
+/// Builds a predictor from an edge or event stream using `config.threads`
+/// ingestion workers, through one loop: pull an event, count it, hand it
+/// to the sink, and quiesce and publish at the cadence.
 ///
-/// kOrdered (default): each worker owns one vertex shard (shard t owns
-/// every vertex u with u % threads == t); the calling thread routes each
-/// stream edge (u, v) as two half-edges to the owners of u and v through
-/// per-shard bounded SPSC rings (stream/spsc_ring.h) carrying large
-/// pre-hashed EdgeBatch payloads. Because sketch updates are commutative
-/// and idempotent and every vertex's half-edges reach its single owner in
-/// stream order, the result is bit-identical to a sequential build — the
-/// returned ShardedPredictor answers queries by routing to owners, with no
-/// merge step. When the kind consumes a single seeded neighbor hash
-/// (LinkPredictor::NeighborHashSeed — bottomk), the router pre-computes it
-/// once per half-edge into the batch's hash lane, so shard workers never
-/// re-hash.
+/// The sink is chosen once, from `threads`:
+///  * threads == 1: one predictor, fed whole-edge batches on the calling
+///    thread; Build returns that plain predictor.
+///  * threads > 1: each worker owns one vertex shard (shard t owns every
+///    vertex u with u % threads == t); the calling thread routes each
+///    stream edge (u, v) as two half-edges to the owners of u and v
+///    through per-shard bounded SPSC rings (stream/spsc_ring.h) carrying
+///    large pre-hashed EdgeBatch payloads. Because sketch updates are
+///    commutative and idempotent and every vertex's half-edges reach its
+///    single owner in stream order, the result is bit-identical to a
+///    sequential build — the returned ShardedPredictor answers queries by
+///    routing to owners, with no merge step. When the kind consumes a
+///    single seeded neighbor hash (LinkPredictor::NeighborHashSeed —
+///    bottomk), the router pre-computes it once per half-edge into the
+///    batch's hash lane, so shard workers never re-hash.
 ///
-/// kRelaxed: each worker owns a full replica and ingests an arbitrary
-/// partition of whole edges with no routing at all; replicas are folded by
-/// MergeFrom at end-of-stream. See IngestOrdering for the contract.
-///
-/// threads == 1 degenerates to an ordinary sequential build (no rings, no
-/// worker threads) and returns the plain underlying predictor.
-///
-/// With a publish cadence configured (kOrdered only), the engine
-/// periodically quiesces the workers and hands the live predictor to
-/// `on_publish` — the hook QueryService uses to serve consistent snapshots
-/// while the build is still running (docs/serving.md).
+/// With a publish cadence configured, the engine periodically quiesces the
+/// sink and hands the live predictor to `on_publish` — the hook
+/// QueryService uses to serve consistent snapshots while the build is
+/// still running (docs/serving.md).
 class ParallelIngestEngine {
  public:
   explicit ParallelIngestEngine(PredictorConfig config,
                                 ParallelIngestOptions options = {});
 
   /// Consumes the whole stream and returns the built predictor.
-  /// InvalidArgument if the config or options are invalid, the kind cannot
-  /// be sharded (kOrdered) or merged (kRelaxed) at the requested thread
-  /// count, or a publish cadence is combined with kRelaxed.
+  /// InvalidArgument if the config or options are invalid or the kind
+  /// cannot be sharded at the requested thread count. The stream enters
+  /// the loop as an insert-only OpStream, so its batches carry no op lane.
   Result<std::unique_ptr<LinkPredictor>> Build(EdgeStream& stream);
 
   /// Turnstile build: consumes a stream of insert/delete events through
-  /// the same machinery — sequential, ordered (op-tagged half-edge batches
-  /// routed to vertex owners; bit-identical to a sequential replay), or
-  /// relaxed (whole-event replicas folded at end-of-stream; tcm only,
-  /// since the fold must be lossless for deletions too). The kind must
+  /// the same loop (op-tagged half-edge batches routed to vertex owners
+  /// when threads > 1; bit-identical to a sequential replay). The kind must
   /// support deletions (KindSupportsDeletions), or be tombstone-wrapped
   /// via config.tombstone_window at threads == 1; anything else is
   /// InvalidArgument. Tombstone-wrapped builds are flushed at
@@ -155,14 +117,10 @@ class ParallelIngestEngine {
   const ParallelIngestOptions& options() const { return options_; }
 
  private:
-  Result<std::unique_ptr<LinkPredictor>> BuildSequential(EdgeStream& stream);
-  Result<std::unique_ptr<LinkPredictor>> BuildOrdered(EdgeStream& stream);
-  Result<std::unique_ptr<LinkPredictor>> BuildRelaxed(EdgeStream& stream);
-  Result<std::unique_ptr<LinkPredictor>> BuildSequentialOps(OpStream& stream);
-  Result<std::unique_ptr<LinkPredictor>> BuildOrderedOps(OpStream& stream);
-  Result<std::unique_ptr<LinkPredictor>> BuildRelaxedOps(OpStream& stream);
-  Status Validate() const;
-  Status ValidateTurnstile() const;
+  /// The one ingest loop behind both Build overloads.
+  Result<std::unique_ptr<LinkPredictor>> Run(OpStream& stream,
+                                             bool turnstile);
+  Status Validate(bool turnstile) const;
 
   PredictorConfig config_;
   ParallelIngestOptions options_;
@@ -176,8 +134,6 @@ class ParallelIngestEngine {
 ///
 ///   auto built = IngestEngineBuilder(config)
 ///                    .Threads(8)
-///                    .Ordering(IngestOrdering::kRelaxed)
-///                    .BatchEdges(16384)
 ///                    .Metrics(&registry)
 ///                    .Ingest(stream);
 ///
@@ -186,10 +142,6 @@ class ParallelIngestEngine {
 /// QueryService) without this header depending on persist/ or serve/:
 ///
 ///   builder.PublishTo(*checkpoints).PublishEveryEdges(100000);
-///
-/// CLI/bench binaries map the shared ingest flags (--ingest-mode,
-/// --batch-edges, --ring-batches) with ApplyFlags, alongside
-/// PredictorConfigFromFlags for the predictor flags.
 class IngestEngineBuilder {
  public:
   IngestEngineBuilder() = default;
@@ -210,10 +162,6 @@ class IngestEngineBuilder {
   }
   IngestEngineBuilder& RingBatches(uint32_t ring_batches) {
     options_.ring_batches = ring_batches;
-    return *this;
-  }
-  IngestEngineBuilder& Ordering(IngestOrdering ordering) {
-    options_.ordering = ordering;
     return *this;
   }
   IngestEngineBuilder& Metrics(obs::MetricsRegistry* registry) {
@@ -239,19 +187,6 @@ class IngestEngineBuilder {
   IngestEngineBuilder& PublishTo(Source& source) {
     return OnPublish(source.IngestPublisher());
   }
-
-  /// Applies the shared ingest flags (absent flags keep current values):
-  ///   --ingest-mode M      ordered | relaxed
-  ///   --batch-edges N      edges per ring batch
-  ///   --ring-batches N     ring capacity in batches
-  /// InvalidArgument on an unknown mode name.
-  Status ApplyFlags(const FlagParser& flags);
-
-  /// The flag names ApplyFlags consumes — append to CheckUnknown
-  /// allowlists next to PredictorFlagNames().
-  static std::vector<std::string> FlagNames();
-  /// One line per ingest flag, for usage/help text.
-  static std::string FlagsHelp();
 
   const PredictorConfig& config() const { return config_; }
   const ParallelIngestOptions& options() const { return options_; }

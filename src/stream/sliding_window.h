@@ -22,11 +22,8 @@ class SlidingWindowGraph : public EdgeConsumer {
  public:
   explicit SlidingWindowGraph(uint64_t window_size);
 
-  void OnEdge(const Edge& edge) override { Add(edge); }
-
-  /// Batched delivery (EdgeBatch API): expiry order must match arrival
-  /// order, so the batch is the amortized loop.
-  using EdgeConsumer::OnEdgeBatch;
+  /// Expiry order must match arrival order, so the batch is the amortized
+  /// loop.
   void OnEdgeBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) Add(e);
   }

@@ -17,51 +17,20 @@ class MetricsRegistry;
 }  // namespace obs
 
 /// Anything that ingests stream edges — the streaming link predictors in
-/// core/ implement this. The primary delivery unit is the EdgeBatch view
-/// (contiguous edges plus optional pre-computed hash lanes, see
-/// stream/edge_batch.h); a batch is semantically identical to delivering
-/// its edges through OnEdge in order.
-///
-/// The three entry points shim into each other so a consumer may override
-/// whichever granularity it cares about and the others keep working:
-///
-///   OnEdgeBatch(EdgeBatch)      — primary; default forwards to the raw
-///                                 legacy signature below;
-///   OnEdgeBatch(Edge*, size_t)  — legacy raw signature, kept so
-///                                 out-of-tree consumers written against
-///                                 the pre-EdgeBatch API migrate
-///                                 gradually; default loops OnEdge;
-///   OnEdge(Edge)                — cold-path convenience; default wraps
-///                                 the edge as a size-1 batch.
-///
-/// A consumer MUST override at least one of the three (overriding none
-/// makes the defaults recurse forever). New code should override the
-/// EdgeBatch form. When overriding any OnEdgeBatch form in a subclass,
-/// add `using EdgeConsumer::OnEdgeBatch;` so the sibling overload is not
-/// hidden.
+/// core/ implement this. The one delivery unit is the EdgeBatch view
+/// (contiguous edges plus optional pre-computed hash and op lanes, see
+/// stream/edge_batch.h).
 class EdgeConsumer {
  public:
   virtual ~EdgeConsumer() = default;
 
-  /// Primary batched delivery: one virtual dispatch for the whole run.
-  /// The view (and its hash lanes) is only valid for the duration of the
-  /// call.
-  virtual void OnEdgeBatch(const EdgeBatch& batch) {
-    OnEdgeBatch(batch.data(), batch.size());
-  }
+  /// Batched delivery: one virtual dispatch for the whole run. The view
+  /// (and its lanes) is only valid for the duration of the call.
+  virtual void OnEdgeBatch(const EdgeBatch& batch) = 0;
 
-  /// Legacy raw-pointer signature, retained as a migration shim for
-  /// consumers predating EdgeBatch. Deprecated for new code: it cannot
-  /// carry the pre-computed hash lanes.
-  virtual void OnEdgeBatch(const Edge* edges, size_t count) {
-    for (size_t i = 0; i < count; ++i) OnEdge(edges[i]);
-  }
-
-  /// Cold-path convenience for callers holding a single edge; forwards to
-  /// a size-1 batch.
-  virtual void OnEdge(const Edge& edge) {
-    OnEdgeBatch(EdgeBatch::Single(edge));
-  }
+  /// Cold-path convenience for callers holding a single edge: delivers it
+  /// as a one-edge batch.
+  void OnEdge(const Edge& edge) { OnEdgeBatch(EdgeBatch::Single(edge)); }
 };
 
 /// Drives an EdgeStream into one or more consumers, invoking a checkpoint

@@ -169,11 +169,7 @@ Result<DifferentialReport> RunDifferentialOracle(
     config.kind = kind;
     config.sketch_size = options.sketch_size;
     config.seed = options.seed;
-    const bool parallelizable =
-        options.ordering == IngestOrdering::kRelaxed
-            ? KindSupportsReplicatedMerge(kind)
-            : KindSupportsSharding(kind);
-    if (options.threads > 1 && parallelizable) {
+    if (options.threads > 1 && KindSupportsSharding(kind)) {
       config.threads = options.threads;
     }
     // The tolerance compares against the *whole-stream* exact measures, so
@@ -181,9 +177,7 @@ Result<DifferentialReport> RunDifferentialOracle(
     config.window_edges = graph.edges.size() + 1;
 
     VectorEdgeStream stream(graph.edges);
-    auto predictor = IngestEngineBuilder(config)
-                         .Ordering(options.ordering)
-                         .Ingest(stream);
+    auto predictor = IngestEngineBuilder(config).Ingest(stream);
     if (!predictor.ok()) return predictor.status();
 
     DifferentialKindReport kr;
@@ -282,9 +276,7 @@ Result<DifferentialReport> RunTurnstileOracle(
     if (options.threads > 1) config.threads = options.threads;
 
     VectorOpStream stream(workload.events);
-    ParallelIngestEngine engine =
-        IngestEngineBuilder(config).Ordering(options.ordering).BuildEngine();
-    auto predictor = engine.Build(stream);
+    auto predictor = IngestEngineBuilder(config).Ingest(stream);
     if (!predictor.ok()) return predictor.status();
 
     DifferentialKindReport kr;

@@ -60,16 +60,10 @@ struct DifferentialOracleOptions {
   /// always checked pointwise (epsilon 0) as an oracle self-test.
   std::vector<std::string> kinds;
   /// Ingestion parallelism for kinds that support it (sharded builds must
-  /// agree with sequential ones, so the tolerance is unchanged).
+  /// agree with sequential ones, so the tolerance is unchanged). Kinds
+  /// that cannot be sharded build sequentially, keeping the kind sweep
+  /// complete.
   uint32_t threads = 1;
-  /// Ordering mode of the parallel build when threads > 1. kOrdered
-  /// shards by vertex and stays bit-identical, so it inherits the
-  /// sequential tolerance for free. kRelaxed edge-partitions full
-  /// replicas and merges at end-of-stream — THIS oracle run is the bound
-  /// that mode's contract promises (estimates within the Hoeffding
-  /// tolerances above). Kinds the mode cannot parallelize build
-  /// sequentially, keeping the kind sweep complete either way.
-  IngestOrdering ordering = IngestOrdering::kOrdered;
 };
 
 /// Per-kind outcome of an oracle run.
@@ -137,7 +131,6 @@ struct TurnstileOracleOptions {
   /// Kinds to test; empty = every deletable kind (KindSupportsDeletions).
   std::vector<std::string> kinds;
   uint32_t threads = 1;
-  IngestOrdering ordering = IngestOrdering::kOrdered;
 };
 
 /// Runs the turnstile oracle. Same reporting contract as

@@ -73,16 +73,9 @@ Status CheckShardCountInvariance(const InvariantContext& context);
 
 /// The ordered parallel engine's free parameters — thread count × batch
 /// size × ring capacity — never change a single output bit relative to a
-/// sequential build; where the kind folds losslessly, the folded sharded
-/// snapshot is also byte-identical. Skips unshardable kinds.
+/// sequential build; where the sharded clone folds into one plain
+/// predictor, its snapshot is also byte-identical. Skips unshardable kinds.
 Status CheckOrderedIngestInvariance(const InvariantContext& context);
-
-/// Relaxed (edge-partitioned replica) builds match the sequential build
-/// exactly for the kinds whose MergeFrom is value-lossless over disjoint
-/// partitions (the only kinds the mode admits). The contract-level bound
-/// on relaxed estimates is the differential oracle's ordering knob.
-/// Skips kinds without a replica merge.
-Status CheckRelaxedMergeEquivalence(const InvariantContext& context);
 
 /// Delivering the stream via OnEdge one at a time and via OnEdgeBatch at
 /// several batch sizes produces byte-identical snapshots.
@@ -100,9 +93,8 @@ Status CheckMergeAssociativity(const InvariantContext& context);
 /// Turnstile triple (deletable kinds only; others pass trivially):
 /// (1) insert ∘ delete annihilation — a churn event stream derived from
 /// the context's edges answers exactly like an insert-only build of its
-/// surviving edge set; (2) the ordered engine replays the same events
-/// bit-identically across thread/batch/ring configurations; (3) relaxed
-/// replica folds match where the kind's merge is lossless.
+/// surviving edge set; (2) the parallel engine replays the same events
+/// bit-identically across thread/batch/ring configurations.
 Status CheckTurnstileAnnihilation(const InvariantContext& context);
 
 /// Save -> Load -> Save is byte-identical and the loaded predictor keeps

@@ -83,44 +83,6 @@ TEST(DifferentialOracle, ShardedBuildsObeyTheSameTolerance) {
   ExpectAllKindsPass(options);
 }
 
-TEST(DifferentialOracle, RelaxedBuildsObeyTheSameTolerance) {
-  // The relaxed mode's whole contract: edge-partitioned replica builds
-  // merged at end-of-stream must stay inside the same Hoeffding
-  // tolerances as a sequential build. Kinds without a replica merge fall
-  // back to sequential inside the oracle, so the sweep stays complete.
-  for (uint32_t threads : {2u, 4u}) {
-    DifferentialOracleOptions options;
-    options.threads = threads;
-    options.ordering = IngestOrdering::kRelaxed;
-    options.scale = 0.03;
-    options.query_pairs = 192;
-    ExpectAllKindsPass(options);
-  }
-}
-
-TEST(DifferentialOracle, RelaxedIsDeterministic) {
-  // Replica fold order is fixed (replica 0 absorbs 1..N-1), so even the
-  // relaxed mode reproduces bit-for-bit given the same options.
-  DifferentialOracleOptions options;
-  options.threads = 4;
-  options.ordering = IngestOrdering::kRelaxed;
-  options.scale = 0.03;
-  options.query_pairs = 128;
-  options.kinds = {"minhash", "bottomk"};
-  auto first = RunDifferentialOracle(options);
-  auto second = RunDifferentialOracle(options);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(first->kinds.size(), second->kinds.size());
-  for (size_t i = 0; i < first->kinds.size(); ++i) {
-    EXPECT_TRUE(first->kinds[i].passed) << first->kinds[i].detail;
-    EXPECT_EQ(first->kinds[i].max_jaccard_error,
-              second->kinds[i].max_jaccard_error);
-    EXPECT_EQ(first->kinds[i].mean_jaccard_error,
-              second->kinds[i].mean_jaccard_error);
-  }
-}
-
 TEST(DifferentialOracle, ToleranceIsNotVacuous) {
   // Guard against a silently-degenerate oracle: at k=128 slots the
   // per-query tolerance must stay well below the trivial bound of 1.0

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "stream/stream_driver.h"
 
 namespace streamlink {
 namespace {
@@ -65,7 +64,7 @@ TEST(EdgeBatch, SliceWithoutLanesStaysLaneless) {
 
 TEST(EdgeBatchBuffer, HalfEdgeAppendFillsNeighborLane) {
   EdgeBatchBuffer buffer;
-  buffer.Reserve(2, /*with_hash_u=*/false, /*with_hash_v=*/true);
+  buffer.Reserve(2, /*with_hash_v=*/true);
   buffer.AppendHalfEdge(3, 7, 111);
   buffer.AppendHalfEdge(3, 9, 222);
   EdgeBatch view = buffer.View();
@@ -76,20 +75,10 @@ TEST(EdgeBatchBuffer, HalfEdgeAppendFillsNeighborLane) {
   EXPECT_EQ(view.hash_v(1), 222u);
 }
 
-TEST(EdgeBatchBuffer, HashedAppendFillsBothLanes) {
-  EdgeBatchBuffer buffer;
-  buffer.AppendHashed(Edge(1, 2), 10, 20);
-  EdgeBatch view = buffer.View();
-  ASSERT_TRUE(view.has_hash_u());
-  ASSERT_TRUE(view.has_hash_v());
-  EXPECT_EQ(view.hash_u(0), 10u);
-  EXPECT_EQ(view.hash_v(0), 20u);
-}
-
 TEST(EdgeBatchBuffer, ViewDropsShortLane) {
   EdgeBatchBuffer buffer;
-  buffer.AppendHashed(Edge(1, 2), 10, 20);
-  buffer.Append(Edge(2, 3));  // no hashes — lanes now disagree with edges
+  buffer.AppendHalfEdge(1, 2, 20);
+  buffer.Append(Edge(2, 3));  // no hash — the lane now disagrees with edges
   EdgeBatch view = buffer.View();
   EXPECT_EQ(view.size(), 2u);
   EXPECT_FALSE(view.has_hash_u());
@@ -98,65 +87,35 @@ TEST(EdgeBatchBuffer, ViewDropsShortLane) {
 
 TEST(EdgeBatchBuffer, ClearResetsAllLanes) {
   EdgeBatchBuffer buffer;
-  buffer.AppendHashed(Edge(1, 2), 10, 20);
+  buffer.AppendHalfEdge(1, 2, 20, EdgeOp::kDelete);
   buffer.Clear();
   EXPECT_TRUE(buffer.empty());
   EXPECT_TRUE(buffer.View().empty());
   buffer.Append(Edge(4, 5));
-  EXPECT_EQ(buffer.View().size(), 1u);
+  EdgeBatch view = buffer.View();
+  EXPECT_EQ(view.size(), 1u);
+  EXPECT_FALSE(view.has_hash_v());
+  EXPECT_FALSE(view.has_ops());
 }
 
-// The EdgeConsumer shim: implementing any ONE of the three entry points
-// must make all three deliver.
+TEST(EdgeBatchBuffer, OpLaneAppearsAtFirstDelete) {
+  EdgeBatchBuffer buffer;
+  buffer.Append(Edge(0, 1));
+  buffer.Append(Edge(1, 2), EdgeOp::kInsert);
+  EXPECT_FALSE(buffer.View().has_ops());  // insert-only: no op lane
+  buffer.Append(Edge(0, 1), EdgeOp::kDelete);
+  buffer.Append(Edge(2, 3));
+  EdgeBatch view = buffer.View();
+  ASSERT_TRUE(view.has_ops());
+  EXPECT_EQ(view.op(0), EdgeOp::kInsert);
+  EXPECT_EQ(view.op(1), EdgeOp::kInsert);
+  EXPECT_EQ(view.op(2), EdgeOp::kDelete);
+  EXPECT_EQ(view.op(3), EdgeOp::kInsert);
 
-struct CountsViaBatch : EdgeConsumer {
-  std::vector<Edge> seen;
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& e : batch) seen.push_back(e);
-  }
-  using EdgeConsumer::OnEdgeBatch;
-};
-
-struct CountsViaRawBatch : EdgeConsumer {
-  std::vector<Edge> seen;
-  size_t calls = 0;
-  void OnEdgeBatch(const Edge* edges, size_t count) override {
-    ++calls;
-    seen.insert(seen.end(), edges, edges + count);
-  }
-  using EdgeConsumer::OnEdgeBatch;
-};
-
-struct CountsViaSingleEdge : EdgeConsumer {
-  std::vector<Edge> seen;
-  void OnEdge(const Edge& edge) override { seen.push_back(edge); }
-};
-
-TEST(EdgeConsumerShim, ViewOverrideReceivesEveryPath) {
-  const EdgeList edges = {{0, 1}, {1, 2}};
-  CountsViaBatch c;
-  c.OnEdge(edges[0]);                        // forwards as a size-1 view
-  c.OnEdgeBatch(edges.data(), edges.size()); // raw adapts to a view
-  c.OnEdgeBatch(EdgeBatch(edges.data(), 1)); // native
-  EXPECT_EQ(c.seen, (std::vector<Edge>{{0, 1}, {0, 1}, {1, 2}, {0, 1}}));
-}
-
-TEST(EdgeConsumerShim, RawOverrideReceivesEveryPath) {
-  const EdgeList edges = {{0, 1}, {1, 2}};
-  CountsViaRawBatch c;
-  c.OnEdge(edges[0]);                         // view default → raw, count 1
-  c.OnEdgeBatch(EdgeBatch(edges.data(), 2));  // view default → raw
-  EXPECT_EQ(c.calls, 2u);
-  EXPECT_EQ(c.seen, (std::vector<Edge>{{0, 1}, {0, 1}, {1, 2}}));
-}
-
-TEST(EdgeConsumerShim, OnEdgeOverrideReceivesEveryPath) {
-  const EdgeList edges = {{0, 1}, {1, 2}};
-  CountsViaSingleEdge c;
-  c.OnEdgeBatch(EdgeBatch(edges.data(), 2));  // view → raw → per-edge
-  c.OnEdgeBatch(edges.data(), 1);             // raw → per-edge
-  c.OnEdge(edges[1]);
-  EXPECT_EQ(c.seen, (std::vector<Edge>{{0, 1}, {1, 2}, {0, 1}, {1, 2}}));
+  EdgeBatchBuffer leading_delete;
+  leading_delete.AppendHalfEdge(1, 2, 20, EdgeOp::kDelete);
+  ASSERT_TRUE(leading_delete.View().has_ops());
+  EXPECT_EQ(leading_delete.View().op(0), EdgeOp::kDelete);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST(LinkPredictor, OnEdgeBatchSkipsSelfLoopsInParityWithOnEdge) {
 
     auto batched = MakePredictor(config);
     ASSERT_TRUE(batched.ok()) << kind;
-    (*batched)->OnEdgeBatch(edges.data(), edges.size());
+    (*batched)->OnEdgeBatch(EdgeBatch(edges.data(), edges.size()));
 
     // Self-loops must neither update state NOR count as processed edges —
     // in exact parity between the two delivery paths.
@@ -64,7 +64,7 @@ TEST(LinkPredictor, SelfLoopOnlyBatchLeavesPredictorUntouched) {
     config.sketch_size = 8;
     auto predictor = MakePredictor(config);
     ASSERT_TRUE(predictor.ok()) << kind;
-    (*predictor)->OnEdgeBatch(loops.data(), loops.size());
+    (*predictor)->OnEdgeBatch(EdgeBatch(loops.data(), loops.size()));
     EXPECT_EQ((*predictor)->edges_processed(), 0u) << kind;
   }
 }
@@ -76,7 +76,7 @@ TEST(LinkPredictor, ScoresMatchesPerMeasureScore) {
   auto predictor = MakePredictor(config);
   ASSERT_TRUE(predictor.ok());
   const EdgeList edges = {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}};
-  (*predictor)->OnEdgeBatch(edges.data(), edges.size());
+  (*predictor)->OnEdgeBatch(EdgeBatch(edges.data(), edges.size()));
 
   const std::vector<LinkMeasure> measures = AllLinkMeasures();
   std::vector<double> scores =

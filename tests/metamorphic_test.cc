@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "gen/workloads.h"
 #include "verify/invariants.h"
@@ -32,6 +33,18 @@ std::string LabelFor(const PredictorConfig& config) {
   std::replace(label.begin(), label.end(), '-', '_');
   return label;
 }
+
+}  // namespace
+
+// gtest prints a test parameter through PrintTo, found by argument-dependent
+// lookup in the parameter's namespace, and the printed value becomes part
+// of the registered ctest id. The label keeps that id stable; the default
+// printer would dump the struct's raw bytes, heap pointers included.
+void PrintTo(const PredictorConfig& config, std::ostream* os) {
+  *os << LabelFor(config);
+}
+
+namespace {
 
 class MetamorphicKindTest : public ::testing::TestWithParam<PredictorConfig> {
 };

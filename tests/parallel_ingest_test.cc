@@ -10,7 +10,6 @@
 #include "eval/experiment.h"
 #include "stream/edge_stream.h"
 #include "stream/stream_driver.h"
-#include "util/flags.h"
 #include "util/random.h"
 
 namespace streamlink {
@@ -131,68 +130,6 @@ TEST(ParallelIngestEngine, TinyBatchesAndRingsStillLossless) {
   ExpectIdentical(**sequential, **sharded, kNumVertices);
 }
 
-// Relaxed mode merges disjoint edge partitions at end-of-stream. For the
-// kinds that allow it (bottom-k set union, slot-wise minimum, additive
-// exact degrees) the fold is value-lossless, so this test can compare
-// exactly and stay deterministic — but the public contract only promises
-// estimates within the differential oracle's tolerances (see
-// verify/differential_test.cc for the contract-level check).
-TEST(ParallelIngestEngine, RelaxedMatchesSequentialForMergeableKinds) {
-  const EdgeList edges = MakeStream(/*seed=*/41, /*num_edges=*/700);
-  for (const char* kind : {"minhash", "bottomk"}) {
-    ASSERT_TRUE(KindSupportsReplicatedMerge(kind)) << kind;
-    PredictorConfig config;
-    config.kind = kind;
-    config.sketch_size = 32;
-    config.seed = 99;
-    config.threads = 1;
-    VectorEdgeStream sequential_stream(edges);
-    auto sequential = IngestEngineBuilder(config).Ingest(sequential_stream);
-    ASSERT_TRUE(sequential.ok()) << kind;
-
-    for (uint32_t threads : {2u, 4u}) {
-      VectorEdgeStream stream(edges);
-      uint64_t ingested = 0;
-      // Small batches so every replica actually receives a partition —
-      // at the default batch size this stream fits in one batch and the
-      // fold's tally accumulation would go untested.
-      auto relaxed = IngestEngineBuilder(config)
-                         .Threads(threads)
-                         .Ordering(IngestOrdering::kRelaxed)
-                         .BatchEdges(64)
-                         .Ingest(stream, &ingested);
-      ASSERT_TRUE(relaxed.ok()) << kind << " threads=" << threads;
-      EXPECT_EQ(ingested, edges.size());
-      EXPECT_EQ((*relaxed)->edges_processed(),
-                (*sequential)->edges_processed())
-          << kind << " threads=" << threads;
-      ExpectIdentical(**sequential, **relaxed, kNumVertices);
-    }
-  }
-}
-
-TEST(ParallelIngestEngine, RelaxedTinyBatchesAndRings) {
-  const EdgeList edges = MakeStream(/*seed=*/43, /*num_edges=*/250);
-  PredictorConfig config;
-  config.kind = "bottomk";
-  config.sketch_size = 16;
-  config.threads = 1;
-  VectorEdgeStream sequential_stream(edges);
-  auto sequential = IngestEngineBuilder(config).Ingest(sequential_stream);
-  ASSERT_TRUE(sequential.ok());
-
-  VectorEdgeStream stream(edges);
-  auto relaxed = IngestEngineBuilder(config)
-                     .Threads(3)
-                     .Ordering(IngestOrdering::kRelaxed)
-                     .BatchEdges(2)
-                     .RingBatches(1)
-                     .Ingest(stream);
-  ASSERT_TRUE(relaxed.ok());
-  EXPECT_EQ((*relaxed)->edges_processed(), (*sequential)->edges_processed());
-  ExpectIdentical(**sequential, **relaxed, kNumVertices);
-}
-
 TEST(ParallelIngestEngine, SingleThreadMatchesStreamDriverBuild) {
   const EdgeList edges = MakeStream(/*seed=*/23, /*num_edges=*/400);
   PredictorConfig config;
@@ -276,32 +213,6 @@ TEST(ParallelIngestEngine, UnshardableKindWorksSequentially) {
   EXPECT_EQ((*built)->edges_processed(), 2u);
 }
 
-TEST(ParallelIngestEngine, RelaxedRejectsNonMergeableKindWhenParallel) {
-  PredictorConfig config;
-  config.kind = "oph";  // shards fine, but has no lossless replica merge
-  config.threads = 4;
-  VectorEdgeStream stream(EdgeList{{0, 1}});
-  auto built = IngestEngineBuilder(config)
-                   .Ordering(IngestOrdering::kRelaxed)
-                   .Ingest(stream);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelIngestEngine, RelaxedRejectsPublishCadence) {
-  PredictorConfig config;
-  config.kind = "minhash";
-  config.threads = 4;
-  VectorEdgeStream stream(EdgeList{{0, 1}});
-  auto built = IngestEngineBuilder(config)
-                   .Ordering(IngestOrdering::kRelaxed)
-                   .PublishEveryEdges(10)
-                   .OnPublish([](const LinkPredictor&, uint64_t) {})
-                   .Ingest(stream);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(ParallelIngestEngine, RejectsCadenceWithoutCallback) {
   PredictorConfig config;
   config.kind = "minhash";
@@ -311,45 +222,6 @@ TEST(ParallelIngestEngine, RejectsCadenceWithoutCallback) {
       IngestEngineBuilder(config).PublishEveryEdges(10).Ingest(stream);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(IngestOrdering, NamesRoundTrip) {
-  for (IngestOrdering ordering :
-       {IngestOrdering::kOrdered, IngestOrdering::kRelaxed}) {
-    auto parsed = ParseIngestOrdering(IngestOrderingName(ordering));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, ordering);
-  }
-  EXPECT_FALSE(ParseIngestOrdering("chaotic").ok());
-}
-
-TEST(IngestEngineBuilder, ApplyFlagsMapsSharedIngestFlags) {
-  FlagParser flags(std::vector<std::string>{"--ingest-mode", "relaxed",
-                                            "--batch-edges", "123",
-                                            "--ring-batches", "9"});
-  IngestEngineBuilder builder;
-  ASSERT_TRUE(builder.ApplyFlags(flags).ok());
-  EXPECT_EQ(builder.options().ordering, IngestOrdering::kRelaxed);
-  EXPECT_EQ(builder.options().batch_edges, 123u);
-  EXPECT_EQ(builder.options().ring_batches, 9u);
-}
-
-TEST(IngestEngineBuilder, ApplyFlagsKeepsDefaultsWhenAbsent) {
-  FlagParser flags(std::vector<std::string>{});
-  IngestEngineBuilder builder;
-  const ParallelIngestOptions defaults;
-  ASSERT_TRUE(builder.ApplyFlags(flags).ok());
-  EXPECT_EQ(builder.options().ordering, defaults.ordering);
-  EXPECT_EQ(builder.options().batch_edges, defaults.batch_edges);
-  EXPECT_EQ(builder.options().ring_batches, defaults.ring_batches);
-}
-
-TEST(IngestEngineBuilder, ApplyFlagsRejectsUnknownMode) {
-  FlagParser flags(std::vector<std::string>{"--ingest-mode", "fast"});
-  IngestEngineBuilder builder;
-  Status st = builder.ApplyFlags(flags);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

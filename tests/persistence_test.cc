@@ -61,6 +61,10 @@ struct KindCase {
   PredictorConfig config;
 };
 
+// Printed as its label, so the registered ctest ids are stable (see
+// PrintTo in metamorphic_test.cc).
+void PrintTo(const KindCase& c, std::ostream* os) { *os << c.label; }
+
 std::vector<KindCase> AllKindCases() {
   std::vector<KindCase> cases;
   auto add = [&cases](std::string label, std::string kind,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "stream/edge_stream.h"
+#include "stream/op_stream.h"
 #include "stream/rate_meter.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
@@ -14,7 +15,9 @@ namespace {
 /// Collects every edge it sees.
 class RecordingConsumer : public EdgeConsumer {
  public:
-  void OnEdge(const Edge& edge) override { edges.push_back(edge); }
+  void OnEdgeBatch(const EdgeBatch& batch) override {
+    edges.insert(edges.end(), batch.begin(), batch.end());
+  }
   EdgeList edges;
 };
 
@@ -86,21 +89,37 @@ TEST(PrefixEdgeStream, LimitBeyondLengthIsWholeStream) {
   EXPECT_EQ(s.SizeHint(), 1u);
 }
 
+TEST(InsertOnlyOpStream, YieldsEveryEdgeAsAnInsert) {
+  VectorEdgeStream edges({{0, 1}, {1, 2}});
+  InsertOnlyOpStream events(edges);
+  EXPECT_EQ(events.SizeHint(), 2u);
+  EdgeEvent event(Edge(7, 8), EdgeOp::kDelete);
+  ASSERT_TRUE(events.Next(&event));
+  EXPECT_EQ(event, EdgeEvent(Edge(0, 1), EdgeOp::kInsert));
+  ASSERT_TRUE(events.Next(&event));
+  EXPECT_EQ(event, EdgeEvent(Edge(1, 2), EdgeOp::kInsert));
+  EXPECT_FALSE(events.Next(&event));
+  events.Reset();
+  ASSERT_TRUE(events.Next(&event));
+  EXPECT_EQ(event.edge, Edge(0, 1));
+}
+
 /// Additionally records how edges were grouped into OnEdgeBatch calls.
 class BatchRecordingConsumer : public RecordingConsumer {
  public:
-  void OnEdgeBatch(const Edge* batch, size_t count) override {
-    batch_sizes.push_back(count);
-    EdgeConsumer::OnEdgeBatch(batch, count);
+  void OnEdgeBatch(const EdgeBatch& batch) override {
+    batch_sizes.push_back(batch.size());
+    RecordingConsumer::OnEdgeBatch(batch);
   }
   std::vector<size_t> batch_sizes;
 };
 
-TEST(EdgeConsumer, DefaultOnEdgeBatchForwardsEdgeByEdge) {
-  RecordingConsumer c;
-  EdgeList edges = {{0, 1}, {1, 2}, {2, 3}};
-  c.OnEdgeBatch(edges.data(), edges.size());
-  EXPECT_EQ(c.edges, edges);
+TEST(EdgeConsumer, OnEdgeDeliversOneEdgeBatch) {
+  BatchRecordingConsumer c;
+  c.OnEdge(Edge(0, 1));
+  c.OnEdge(Edge(1, 2));
+  EXPECT_EQ(c.edges, (EdgeList{{0, 1}, {1, 2}}));
+  EXPECT_EQ(c.batch_sizes, (std::vector<size_t>{1, 1}));
 }
 
 TEST(StreamDriver, DeliversInBatchesOfConfiguredSize) {

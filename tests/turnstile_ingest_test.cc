@@ -113,32 +113,6 @@ TEST(TurnstileIngest, OrderedBitIdenticalAcrossThreadsAndBatchSizes) {
   }
 }
 
-// Relaxed replicas see deletes before the matching insert (another replica
-// owns it): cells dip negative and heal at fold time. tcm is the only kind
-// whose merge is lossless under deletions, so the comparison is exact.
-TEST(TurnstileIngest, RelaxedFoldMatchesSequential) {
-  const TurnstileWorkload w = MakeEvents(/*seed=*/41, /*num_edges=*/600);
-  PredictorConfig config = TcmConfig();
-  VectorOpStream sequential_stream(w.events);
-  auto sequential = IngestEngineBuilder(config).Ingest(sequential_stream);
-  ASSERT_TRUE(sequential.ok());
-
-  for (uint32_t threads : {2u, 3u}) {
-    VectorOpStream stream(w.events);
-    auto relaxed = IngestEngineBuilder(config)
-                       .Threads(threads)
-                       .Ordering(IngestOrdering::kRelaxed)
-                       .BatchEdges(32)
-                       .Ingest(stream);
-    ASSERT_TRUE(relaxed.ok()) << "threads=" << threads;
-    EXPECT_EQ((*relaxed)->edges_processed(),
-              (*sequential)->edges_processed());
-    EXPECT_EQ((*relaxed)->deletes_processed(),
-              (*sequential)->deletes_processed());
-    ExpectIdentical(**sequential, **relaxed, kNumVertices);
-  }
-}
-
 // Tombstone-window fallback rides the sequential op path; the engine
 // flushes the window at end-of-stream. Every delete in a live-set churn
 // stream targets a live edge, so with a window as large as the stream the
@@ -206,18 +180,6 @@ TEST(TurnstileIngest, RejectsTombstoneWithThreads) {
   ParallelIngestEngine engine(config);
   VectorOpStream stream(EdgeEventList{{Edge(0, 1), EdgeOp::kInsert}});
   auto built = engine.Build(stream);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(TurnstileIngest, RelaxedRejectsNonDeletableKind) {
-  PredictorConfig config;
-  config.kind = "minhash";  // mergeable, but cannot retract
-  config.threads = 2;
-  VectorOpStream stream(EdgeEventList{{Edge(0, 1), EdgeOp::kInsert}});
-  auto built = IngestEngineBuilder(config)
-                   .Ordering(IngestOrdering::kRelaxed)
-                   .Ingest(stream);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }

@@ -59,19 +59,6 @@ TEST(TurnstileOracle, TcmPassesWithOrderedThreads) {
   EXPECT_TRUE(report->kinds[0].passed) << report->kinds[0].detail;
 }
 
-// Relaxed replica folds are lossless for tcm, so the sequential tolerance
-// carries over to the relaxed contract run too.
-TEST(TurnstileOracle, TcmPassesRelaxed) {
-  TurnstileOracleOptions options = CiOptions();
-  options.kinds = {"tcm"};
-  options.threads = 2;
-  options.ordering = IngestOrdering::kRelaxed;
-  auto report = RunTurnstileOracle(options);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  ASSERT_EQ(report->kinds.size(), 1u);
-  EXPECT_TRUE(report->kinds[0].passed) << report->kinds[0].detail;
-}
-
 TEST(TurnstileOracle, RejectsNonDeletableKind) {
   TurnstileOracleOptions options = CiOptions();
   options.kinds = {"minhash"};
