@@ -542,20 +542,20 @@ Status CmdCompare(const FlagParser& flags, std::ostream& out) {
 
   TablePrinter table({"predictor", "k", "jaccard_mae", "cn_mre", "aa_mre",
                       "mbytes"});
-  for (const std::string& kind : PredictorKinds()) {
-    if (kind == "exact" || kind == "windowed_minhash") continue;
+  for (const PredictorKind& kind : PredictorKindTable()) {
+    if (kind.name == "exact" || kind.name == "windowed_minhash") continue;
     PredictorConfig config = base;
-    config.kind = kind;
+    config.kind = kind.name;
     // Kinds without vertex sharding build sequentially so the comparison
     // still covers every predictor.
-    if (!KindSupportsSharding(kind)) config.threads = 1;
+    if (!kind.shardable) config.threads = 1;
     auto predictor = BuildPredictor(config, graph.edges);
     if (!predictor.ok()) return predictor.status();
     ExactPredictor exact;
     FeedStream(exact, graph.edges);
     AccuracyReport report = MeasureAccuracyAgainst(**predictor, exact, pairs);
     table.AddRow(
-        {kind, std::to_string(config.sketch_size),
+        {config.kind, std::to_string(config.sketch_size),
          TablePrinter::FormatCell(report.jaccard.MeanAbsoluteError()),
          TablePrinter::FormatCell(report.common_neighbors.MeanRelativeError()),
          TablePrinter::FormatCell(report.adamic_adar.MeanRelativeError()),

@@ -14,20 +14,6 @@ BottomKPredictor::BottomKPredictor(const BottomKPredictorOptions& options)
   SL_CHECK(options.k >= 2) << "bottom-k predictor needs k >= 2";
 }
 
-void BottomKPredictor::ProcessEdge(const Edge& edge) {
-  store_.Mutable(edge.u).Update(HashU64(edge.v, options_.seed), edge.v);
-  store_.Mutable(edge.v).Update(HashU64(edge.u, options_.seed), edge.u);
-  if (options_.track_exact_degrees) {
-    degrees_.Increment(edge.u);
-    degrees_.Increment(edge.v);
-  }
-}
-
-void BottomKPredictor::ObserveNeighbor(VertexId u, VertexId neighbor) {
-  store_.Mutable(u).Update(HashU64(neighbor, options_.seed), neighbor);
-  if (options_.track_exact_degrees) degrees_.Increment(u);
-}
-
 void BottomKPredictor::ObserveNeighborBatch(const EdgeBatch& batch) {
   if (batch.has_hash_v()) {
     // Producer pre-hashed every neighbor under our seed (NeighborHashSeed
@@ -46,42 +32,14 @@ void BottomKPredictor::ObserveNeighborBatch(const EdgeBatch& batch) {
   }
 }
 
-void BottomKPredictor::ProcessBatch(const EdgeBatch& batch) {
-  AddProcessedEdges(batch.size());
-  const bool lanes = batch.has_hash_u() && batch.has_hash_v();
-  const uint64_t mixed_seed = MixSeed(options_.seed);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Edge& e = batch[i];
-    const uint64_t hu =
-        lanes ? batch.hash_u(i) : HashU64WithMixedSeed(e.u, mixed_seed);
-    const uint64_t hv =
-        lanes ? batch.hash_v(i) : HashU64WithMixedSeed(e.v, mixed_seed);
-    store_.Mutable(e.u).Update(hv, e.v);
-    store_.Mutable(e.v).Update(hu, e.u);
-    if (options_.track_exact_degrees) {
-      degrees_.Increment(e.u);
-      degrees_.Increment(e.v);
-    }
-  }
-}
-
 double BottomKPredictor::Degree(VertexId u) const {
   if (options_.track_exact_degrees) return degrees_.Degree(u);
   const BottomKSketch* s = store_.Get(u);
   return s == nullptr ? 0.0 : s->EstimateCardinality();
 }
 
-OverlapEstimate BottomKPredictor::EstimateOverlap(VertexId u,
-                                                  VertexId v) const {
-  // Same code path as a cross-shard query (see MinHashPredictor): Degree()
-  // already resolves the exact-vs-KMV mode, so it doubles as the local leg
-  // of the routed degree oracle.
-  return EstimateOverlapSharded(
-      u, *this, v, [this](VertexId w) -> double { return Degree(w); });
-}
-
 OverlapEstimate BottomKPredictor::EstimateOverlapSharded(
-    VertexId u, const LinkPredictor& v_home, VertexId v,
+    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
   const auto* peer = dynamic_cast<const BottomKPredictor*>(&v_home);
   SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
@@ -229,23 +187,6 @@ Result<BottomKPredictor> BottomKPredictor::LoadFrom(BinaryReader& reader,
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);
-  return predictor;
-}
-
-Result<BottomKPredictor> BottomKPredictor::Load(const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
-  if (!header.ok()) return header.status();
-  if (header->kind != "bottomk") {
-    return Status::InvalidArgument("snapshot holds a '" + header->kind +
-                                   "' predictor, expected bottomk: " + path);
-  }
-  Result<BottomKPredictor> predictor =
-      LoadFrom(reader, header->payload_version);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
   return predictor;
 }
 

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/sketch_store.h"
 #include "sketch/bottomk.h"
 #include "util/status.h"
@@ -31,12 +31,11 @@ struct BottomKPredictorOptions {
 /// Jaccard, the k-th smallest hash estimates |∪| (KMV), and the matched
 /// items — uniform samples of the intersection — carry the Adamic-Adar /
 /// Resource-Allocation weights exactly as in MinHashPredictor.
-class BottomKPredictor : public LinkPredictor {
+class BottomKPredictor : public HalfEdgePredictor {
  public:
   explicit BottomKPredictor(const BottomKPredictorOptions& options = {});
 
   std::string name() const override { return "bottomk"; }
-  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const override;
   VertexId num_vertices() const override { return store_.num_vertices(); }
   uint64_t MemoryBytes() const override;
 
@@ -47,12 +46,10 @@ class BottomKPredictor : public LinkPredictor {
 
   const BottomKSketch* Sketch(VertexId u) const { return store_.Get(u); }
 
-  // Vertex-sharded operation (LinkPredictor capability): bottom-k sets
-  // union and degree counters add per endpoint, in both degree modes —
-  // with sketched degrees, a vertex's KMV estimate lives entirely in its
-  // owning shard's sketch.
-  bool SupportsSharding() const override { return true; }
-  void ObserveNeighbor(VertexId u, VertexId neighbor) override;
+  // Half-edge kernel (HalfEdgePredictor): bottom-k sets union and degree
+  // counters add per endpoint, in both degree modes — with sketched
+  // degrees, a vertex's KMV estimate lives entirely in its owning shard's
+  // sketch.
   /// Consumes the batch's hash_v lane when present — the producer already
   /// computed HashU64(neighbor, seed) once, so the KMV kernel does zero
   /// hashing here.
@@ -65,7 +62,7 @@ class BottomKPredictor : public LinkPredictor {
   }
   double OwnedDegree(VertexId u) const override { return Degree(u); }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;
 
   /// Disjoint-partition merge (see MinHashPredictor::MergeFrom): sketches
@@ -88,14 +85,6 @@ class BottomKPredictor : public LinkPredictor {
   /// sketch sizes and the degree-table length against the vertex count.
   static Result<BottomKPredictor> LoadFrom(BinaryReader& reader,
                                            uint32_t payload_version);
-
-  /// Restores a predictor from a Save(path) snapshot file, verifying the
-  /// envelope and the whole-file checksum.
-  static Result<BottomKPredictor> Load(const std::string& path);
-
- protected:
-  void ProcessEdge(const Edge& edge) override;
-  void ProcessBatch(const EdgeBatch& batch) override;
 
  private:
   BottomKPredictorOptions options_;

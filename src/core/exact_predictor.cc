@@ -8,16 +8,8 @@
 
 namespace streamlink {
 
-OverlapEstimate ExactPredictor::EstimateOverlap(VertexId u, VertexId v) const {
-  // Same code path as a cross-shard query (see MinHashPredictor); the
-  // body mirrors ComputeOverlap exactly, so exact scores are unchanged.
-  return EstimateOverlapSharded(
-      u, *this, v,
-      [this](VertexId w) -> double { return graph_.Degree(w); });
-}
-
 OverlapEstimate ExactPredictor::EstimateOverlapSharded(
-    VertexId u, const LinkPredictor& v_home, VertexId v,
+    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
   const auto* peer = dynamic_cast<const ExactPredictor*>(&v_home);
   SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "

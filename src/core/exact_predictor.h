@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "graph/adjacency_graph.h"
 #include "util/status.h"
 
@@ -14,42 +14,32 @@ namespace streamlink {
 /// paper compares the sketches against on accuracy (ground truth), memory
 /// (the cost of exactness) and speed (hash-set updates vs O(k) sketch
 /// updates; O(min-degree) queries vs O(k) sketch queries).
-class ExactPredictor : public LinkPredictor {
+class ExactPredictor : public HalfEdgePredictor {
  public:
   ExactPredictor() = default;
 
   std::string name() const override { return "exact"; }
-  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const override;
   VertexId num_vertices() const override { return graph_.num_vertices(); }
   uint64_t MemoryBytes() const override { return graph_.MemoryBytes(); }
 
   const AdjacencyGraph& graph() const { return graph_; }
 
-  // Turnstile capability: adjacency sets delete natively. Retracting an
-  // edge that is not present is a no-op (the graph stays simple), so the
-  // exact kind is the reference oracle for delete-heavy churn streams.
-  bool SupportsDeletions() const override { return true; }
-
-  // Vertex-sharded operation (LinkPredictor capability): adjacency sets
-  // are per-vertex state, so half-edges route cleanly; cross-shard queries
-  // intersect the two owners' neighbor sets and fetch common-neighbor
-  // degrees through the routed oracle. Still exact, still bit-identical.
-  bool SupportsSharding() const override { return true; }
-  void ObserveNeighbor(VertexId u, VertexId neighbor) override {
-    graph_.AddArc(u, neighbor);
-  }
+  // Half-edge kernels (HalfEdgePredictor): adjacency sets are per-vertex
+  // state, so half-edges route cleanly; cross-shard queries intersect the
+  // two owners' neighbor sets and fetch common-neighbor degrees through
+  // the routed oracle. Still exact, still bit-identical. Deletes are
+  // native: retracting an edge that is not present is a no-op (the graph
+  // stays simple), so the exact kind is the reference oracle for
+  // delete-heavy churn streams.
   void ObserveNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) graph_.AddArc(e.u, e.v);
-  }
-  void RetractNeighbor(VertexId u, VertexId neighbor) override {
-    graph_.RemoveArc(u, neighbor);
   }
   void RetractNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) graph_.RemoveArc(e.u, e.v);
   }
   double OwnedDegree(VertexId u) const override { return graph_.Degree(u); }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;
 
   /// Snapshot primitive: deep copy of the adjacency sets. O(E) time and
@@ -69,8 +59,17 @@ class ExactPredictor : public LinkPredictor {
                                          uint32_t payload_version);
 
  protected:
-  void ProcessEdge(const Edge& edge) override { graph_.AddEdge(edge); }
-  void ProcessDelete(const Edge& edge) override { graph_.RemoveEdge(edge); }
+  // Whole edges keep AddEdge/RemoveEdge, which maintain the whole-edge
+  // count the snapshot stores; the half-edge kernels (AddArc/RemoveArc)
+  // do not, so a shard's count stays zero.
+  void ProcessBatch(const EdgeBatch& batch) override {
+    AddProcessedEdges(batch.size());
+    for (const Edge& e : batch) graph_.AddEdge(e);
+  }
+  void ProcessDeleteBatch(const EdgeBatch& batch) override {
+    AddProcessedDeletes(batch.size());
+    for (const Edge& e : batch) graph_.RemoveEdge(e);
+  }
 
  private:
   AdjacencyGraph graph_;

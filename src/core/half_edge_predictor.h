@@ -1,0 +1,104 @@
+#ifndef STREAMLINK_CORE_HALF_EDGE_PREDICTOR_H_
+#define STREAMLINK_CORE_HALF_EDGE_PREDICTOR_H_
+
+#include <cstdint>
+#include <functional>
+
+#include "core/link_predictor.h"
+#include "graph/types.h"
+#include "stream/edge_batch.h"
+
+namespace streamlink {
+
+/// Routes a degree read to whatever owns the vertex's state. In a
+/// single predictor this is its own degree table; in a vertex-sharded
+/// build (ShardedPredictor) it dispatches to the owning shard. Exact
+/// counters return integral doubles; KMV-backed degrees are fractional.
+using DegreeFn = std::function<double(VertexId)>;
+
+/// A predictor whose state decomposes per *vertex* (see
+/// docs/parallel_ingest.md): every vertex's state (sketch + degree) is
+/// written only by half-edge updates of that vertex, and a pairwise
+/// estimate reads only the two endpoints' state plus routed degree
+/// lookups. Edge (u, v) is "v joins N(u)" plus "u joins N(v)".
+///
+/// The half-edge batch kernels are a kind's only ingest code: whole-edge
+/// ingest and the single-predictor query are derived from them here, once.
+/// ParallelIngestEngine partitions vertices across N same-configured
+/// instances (shard t owns u with u % N == t) and ShardedPredictor routes
+/// queries to the two owning shards; because both paths run the same
+/// kernels and the same EstimateOverlapSharded, results are bit-identical
+/// to a sequential build. The kind table (core/predictor_factory.h) marks
+/// a kind shardable exactly when it derives from this class.
+class HalfEdgePredictor : public LinkPredictor {
+ public:
+  /// Half-edge kernel: every element (u, v) of `batch` means "u gained
+  /// neighbor v" and touches only u's state; in a shard, every u is owned
+  /// by this predictor. Does not advance edges_processed() (two
+  /// half-edges are one edge). When the batch carries a hash_v lane it
+  /// holds HashU64(v, NeighborHashSeed) for each element, and kinds that
+  /// announce a seed may consume it instead of re-hashing.
+  virtual void ObserveNeighborBatch(const EdgeBatch& batch) = 0;
+
+  /// Half-edge retraction kernel: every element (u, v) means "u lost
+  /// neighbor v" — the delete-side mirror of ObserveNeighborBatch. Does
+  /// not advance deletes_processed(). Only deletable kinds implement it;
+  /// the default is fatal.
+  virtual void RetractNeighborBatch(const EdgeBatch& batch);
+
+  /// Applies a half-edge batch, dispatching each maximal same-op run to
+  /// ObserveNeighborBatch or RetractNeighborBatch. Batches without an op
+  /// lane go straight to ObserveNeighborBatch (zero turnstile overhead on
+  /// the insert-only hot path). Half-edge batches never contain
+  /// self-loops, so runs split on op alone.
+  void ApplyHalfEdges(const EdgeBatch& batch);
+
+  /// When the half-edge kernel consumes a single seeded neighbor hash
+  /// HashU64(neighbor, seed), returns true and writes that seed — the
+  /// producer then pre-computes the hash once per half-edge into the
+  /// batch's hash_v lane (the "pre-hashed EdgeBatch" contract). Kinds that
+  /// hash k times (minhash) or not at all return false.
+  virtual bool NeighborHashSeed(uint64_t* /*seed*/) const { return false; }
+
+  /// Current degree of a vertex this predictor owns — the per-shard leg of
+  /// a routed DegreeFn.
+  virtual double OwnedDegree(VertexId u) const = 0;
+
+  /// Pairwise estimate across shards: `this` owns u's state, `v_home`
+  /// (same kind, same options; may be `*this`) owns v's, and `degree_of`
+  /// routes any vertex's degree to its owner. Fatal on cross-kind and
+  /// cross-option pairs.
+  virtual OverlapEstimate EstimateOverlapSharded(
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      const DegreeFn& degree_of) const = 0;
+
+  /// EstimateOverlapSharded with this predictor as v's home and its own
+  /// degrees, so sequential and sharded queries agree bit for bit.
+  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const final;
+
+ protected:
+  /// Whole-edge batches: each edge (u, v) becomes the half-edges (u, v)
+  /// and (v, u), in stream order, and the kernel receives them as one
+  /// batch; the edge or delete count advances once per batch. Every
+  /// vertex sees its neighbors in stream order, as in a sharded build.
+  void ProcessBatch(const EdgeBatch& batch) override;
+  void ProcessDeleteBatch(const EdgeBatch& batch) override;
+
+ private:
+  /// Rewrites `batch` as its half-edges in scratch_.
+  EdgeBatch HalfEdgesOf(const EdgeBatch& batch);
+
+  /// Working memory of the whole-edge batches, not predictor state:
+  /// copies start empty, and MemoryBytes and SaveTo ignore it.
+  struct Scratch {
+    Scratch() = default;
+    Scratch(const Scratch& /*other*/) {}
+    Scratch& operator=(const Scratch& /*other*/) { return *this; }
+    EdgeList half_edges;
+  };
+  Scratch scratch_;
+};
+
+}  // namespace streamlink
+
+#endif  // STREAMLINK_CORE_HALF_EDGE_PREDICTOR_H_

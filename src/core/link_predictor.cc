@@ -65,29 +65,15 @@ Status LinkPredictor::Save(const std::string& path) const {
       path, [this](BinaryWriter& writer) { return SaveTo(writer); });
 }
 
-void LinkPredictor::ObserveNeighbor(VertexId, VertexId) {
-  SL_LOG(kFatal) << name() << " does not support sharded ingestion";
+void LinkPredictor::ProcessEdge(const Edge&) {
+  SL_LOG(kFatal) << name() << " overrides neither ProcessEdge nor "
+                            "ProcessBatch";
 }
 
 void LinkPredictor::ProcessDelete(const Edge&) {
   SL_LOG(kFatal) << name()
                  << " does not support edge deletions (turnstile); wrap in "
                     "a tombstone window or use a deletable kind";
-}
-
-void LinkPredictor::RetractNeighbor(VertexId, VertexId) {
-  SL_LOG(kFatal) << name() << " does not support sharded edge deletions";
-}
-
-double LinkPredictor::OwnedDegree(VertexId) const {
-  SL_LOG(kFatal) << name() << " does not support sharded ingestion";
-  return 0.0;
-}
-
-OverlapEstimate LinkPredictor::EstimateOverlapSharded(
-    VertexId, const LinkPredictor&, VertexId, const DegreeFn&) const {
-  SL_LOG(kFatal) << name() << " does not support sharded queries";
-  return {};
 }
 
 }  // namespace streamlink

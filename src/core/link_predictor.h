@@ -2,7 +2,6 @@
 #define STREAMLINK_CORE_LINK_PREDICTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,12 +33,6 @@ struct OverlapEstimate {
 /// Derives any LinkMeasure score from an overlap estimate (the approximate
 /// analogue of MeasureFromOverlap).
 double MeasureFromEstimate(LinkMeasure measure, const OverlapEstimate& e);
-
-/// Routes a degree read to whatever owns the vertex's state. In a
-/// single predictor this is its own degree table; in a vertex-sharded
-/// build (ShardedPredictor) it dispatches to the owning shard. Exact
-/// counters return integral doubles; KMV-backed degrees are fractional.
-using DegreeFn = std::function<double(VertexId)>;
 
 /// A streaming link predictor: ingests a graph stream edge by edge and
 /// answers pairwise neighborhood-overlap queries at any point, online.
@@ -98,9 +91,8 @@ class LinkPredictor : public EdgeConsumer {
   /// Writes a crash-safe snapshot file: SaveTo routed through
   /// WriteFileAtomic (temp file + fsync + atomic rename) with a
   /// whole-file checksum footer, so a crash mid-write can never leave a
-  /// torn snapshot at `path`. The default covers every kind with SaveTo;
-  /// virtual so out-of-tree predictors can substitute their own storage.
-  virtual Status Save(const std::string& path) const;
+  /// torn snapshot at `path`.
+  Status Save(const std::string& path) const;
 
   /// Number of vertices with any state (max endpoint seen + 1).
   virtual VertexId num_vertices() const = 0;
@@ -115,65 +107,34 @@ class LinkPredictor : public EdgeConsumer {
   virtual uint64_t MemoryBytes() const = 0;
 
   /// Retracts one previously inserted edge — the turnstile counterpart of
-  /// OnEdge. Filters self-loops, accounts the delete, and hands the edge to
-  /// ProcessDelete. Only kinds with SupportsDeletions() implement the
+  /// OnEdge: delivers it as a one-edge delete batch. Only kinds the kind
+  /// table (core/predictor_factory.h) marks deletable implement the
   /// kernel; calling this on any other kind is fatal.
   void DeleteEdge(const Edge& edge) {
-    if (edge.IsSelfLoop()) return;
-    ++deletes_processed_;
-    ProcessDelete(edge);
+    const EdgeOp op = EdgeOp::kDelete;
+    OnEdgeBatch(EdgeBatch(&edge, 1, /*hash_u=*/nullptr, /*hash_v=*/nullptr,
+                          &op));
   }
 
   /// Primary delivery path (StreamDriver and ParallelIngestEngine arrive
   /// here): filters self-loops, accounts edges, and hands maximal
   /// self-loop-free same-op runs — hash lanes still aligned — to
   /// ProcessBatch / ProcessDeleteBatch in one virtual dispatch per run.
-  /// Batches without an op lane take the historical all-insert path.
+  /// Batches without an op lane are all inserts.
   void OnEdgeBatch(const EdgeBatch& batch) final {
-    if (!batch.has_ops()) {
-      size_t run_start = 0;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].IsSelfLoop()) {
-          if (i > run_start) {
-            ProcessBatch(batch.Slice(run_start, i - run_start));
-          }
-          run_start = i + 1;
-        }
-      }
-      if (batch.size() > run_start) {
-        ProcessBatch(batch.Slice(run_start, batch.size() - run_start));
-      }
-      return;
-    }
-    size_t run_start = 0;
-    EdgeOp run_op = EdgeOp::kInsert;
-    auto flush = [&](size_t end) {
-      if (end <= run_start) return;
-      EdgeBatch run = batch.Slice(run_start, end - run_start);
-      if (run_op == EdgeOp::kInsert) {
-        ProcessBatch(run);
-      } else {
-        ProcessDeleteBatch(run);
-      }
-    };
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].IsSelfLoop()) {
-        flush(i);
-        run_start = i + 1;
-        continue;
-      }
-      if (batch.op(i) != run_op) {
-        flush(i);
-        run_start = i;
-        run_op = batch.op(i);
-      }
-    }
-    flush(batch.size());
+    ForEachOpRun(batch, /*skip_self_loops=*/true,
+                 [this](const EdgeBatch& run, EdgeOp op) {
+                   if (op == EdgeOp::kInsert) {
+                     ProcessBatch(run);
+                   } else {
+                     ProcessDeleteBatch(run);
+                   }
+                 });
   }
 
   /// Folds `count` externally-accounted edges into edges_processed().
   /// Used by disjoint-partition merges (MergeFrom) and by sharded builds,
-  /// whose half-edge updates (ObserveNeighbor) deliberately do not count
+  /// whose half-edge kernels (HalfEdgePredictor) deliberately do not count
   /// edges — two half-edges are one edge.
   void AddProcessedEdges(uint64_t count) { edges_processed_ += count; }
 
@@ -182,115 +143,13 @@ class LinkPredictor : public EdgeConsumer {
   /// retractions) into the counter.
   void AddProcessedDeletes(uint64_t count) { deletes_processed_ += count; }
 
-  /// True if the kind can retract edges natively (turnstile model):
-  /// DeleteEdge / delete-tagged batches / RetractNeighbor are implemented
-  /// and insert∘delete of the same edge restores the prior state exactly.
-  /// Insert-only kinds return false; wrap them in TombstoneWindowPredictor
-  /// (core/tombstone_predictor.h) for bounded-lag delete support.
-  virtual bool SupportsDeletions() const { return false; }
-
-  // --- Vertex-sharded operation (see docs/parallel_ingest.md) ---
-  //
-  // A shardable predictor decomposes per *vertex*: every vertex's state
-  // (sketch + degree) is written only by half-edge updates of that vertex,
-  // and a pairwise estimate reads only the two endpoints' state plus
-  // routed degree lookups. ParallelIngestEngine partitions vertices across
-  // N same-configured predictors (shard t owns u with u % N == t) and
-  // ShardedPredictor routes queries to the two owning shards; results are
-  // bit-identical to a sequential build.
-
-  /// True if the predictor implements the half-edge / cross-shard hooks
-  /// below. Kinds whose updates depend on global stream state (windowed
-  /// bucket rotation, neighbor-degree-dependent sampling) return false.
-  virtual bool SupportsSharding() const { return false; }
-
-  /// Half-edge update for vertex-partitioned ingestion: records that
-  /// `neighbor` joined N(u), touching ONLY u's state. A full edge (u, v)
-  /// is two half-edges, routed to (possibly) different shards that each
-  /// own a disjoint slice of the vertex space, so total state equals a
-  /// single-predictor build. Does not advance edges_processed()
-  /// (half-edges are not edges). Fatal on unshardable kinds.
-  virtual void ObserveNeighbor(VertexId u, VertexId neighbor);
-
-  /// Batched half-edge updates: every element (u, v) of `batch` means "u
-  /// gained neighbor v" and every u must be owned by this predictor — the
-  /// unit a parallel-ingest shard worker applies per ring hand-off. When
-  /// the batch carries a hash_v lane it holds HashU64(v, NeighborHashSeed)
-  /// for each element, and kinds that announce a seed may consume it
-  /// instead of re-hashing. Default loops ObserveNeighbor; shardable kinds
-  /// override to hoist per-call overhead out of the loop. Fatal on
-  /// unshardable kinds.
-  virtual void ObserveNeighborBatch(const EdgeBatch& batch) {
-    for (const Edge& e : batch) ObserveNeighbor(e.u, e.v);
-  }
-
-  /// Half-edge retraction: records that `neighbor` left N(u), touching
-  /// ONLY u's state — the delete-side mirror of ObserveNeighbor. Does not
-  /// advance deletes_processed(). Fatal on kinds without both sharding and
-  /// deletion support.
-  virtual void RetractNeighbor(VertexId u, VertexId neighbor);
-
-  /// Batched half-edge retractions; same contract as ObserveNeighborBatch
-  /// with delete semantics. Default loops RetractNeighbor.
-  virtual void RetractNeighborBatch(const EdgeBatch& batch) {
-    for (const Edge& e : batch) RetractNeighbor(e.u, e.v);
-  }
-
-  /// Applies a half-edge batch, dispatching each maximal same-op run to
-  /// ObserveNeighborBatch or RetractNeighborBatch. Batches without an op
-  /// lane go straight to ObserveNeighborBatch (zero turnstile overhead on
-  /// the insert-only hot path). Half-edge batches never contain self-loops,
-  /// so runs split on op alone.
-  void ApplyHalfEdges(const EdgeBatch& batch) {
-    if (!batch.has_ops()) {
-      ObserveNeighborBatch(batch);
-      return;
-    }
-    size_t run_start = 0;
-    EdgeOp run_op = batch.op(0);
-    auto flush = [&](size_t end) {
-      if (end <= run_start) return;
-      EdgeBatch run = batch.Slice(run_start, end - run_start);
-      if (run_op == EdgeOp::kInsert) {
-        ObserveNeighborBatch(run);
-      } else {
-        RetractNeighborBatch(run);
-      }
-    };
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch.op(i) != run_op) {
-        flush(i);
-        run_start = i;
-        run_op = batch.op(i);
-      }
-    }
-    flush(batch.size());
-  }
-
-  /// When the predictor's half-edge kernel consumes a single seeded
-  /// neighbor hash HashU64(neighbor, seed), returns true and writes that
-  /// seed — the producer then pre-computes the hash once per half-edge
-  /// into the batch's hash_v lane (the "pre-hashed EdgeBatch" contract).
-  /// Kinds that hash k times (minhash) or not at all return false.
-  virtual bool NeighborHashSeed(uint64_t* /*seed*/) const { return false; }
-
-  /// Current degree of a vertex this predictor owns — the per-shard leg of
-  /// a routed DegreeFn. Fatal on unshardable kinds.
-  virtual double OwnedDegree(VertexId u) const;
-
-  /// Pairwise estimate across shards: `this` owns u's state, `v_home`
-  /// (same kind, same options; may be `*this`) owns v's, and `degree_of`
-  /// routes any vertex's degree to its owner. Single-predictor
-  /// EstimateOverlap delegates here with itself as v_home, so sequential
-  /// and sharded queries run the same code and agree bit for bit. Fatal on
-  /// unshardable kinds and cross-kind or cross-option pairs.
-  virtual OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
-      const DegreeFn& degree_of) const;
-
  protected:
-  /// Implementations ingest one non-self-loop edge here.
-  virtual void ProcessEdge(const Edge& edge) = 0;
+  /// Whole-edge kernel of the kinds that apply one edge at a time
+  /// (windowed_minhash, vertex_biased, and the tombstone and sharded
+  /// wrappers): the default ProcessBatch calls it once per non-self-loop
+  /// edge. Kinds that override ProcessBatch never reach it; the default is
+  /// fatal.
+  virtual void ProcessEdge(const Edge& edge);
 
   /// Batched ingest kernel: a self-loop-free run of whole edges, hash
   /// lanes (when present) aligned. The kernel owns accounting so
@@ -298,8 +157,7 @@ class LinkPredictor : public EdgeConsumer {
   /// kind reads it per edge for bucket rotation): the default increments
   /// before each ProcessEdge exactly like OnEdge; overrides that never
   /// read edges_processed() during the run bulk-account with
-  /// AddProcessedEdges(batch.size()) instead. Overriding ProcessEdge alone
-  /// stays correct.
+  /// AddProcessedEdges(batch.size()) instead.
   virtual void ProcessBatch(const EdgeBatch& batch) {
     for (const Edge& e : batch) {
       ++edges_processed_;
@@ -307,8 +165,9 @@ class LinkPredictor : public EdgeConsumer {
     }
   }
 
-  /// Deletion kernel: retracts one non-self-loop edge. Only kinds with
-  /// SupportsDeletions() override; the base default is fatal.
+  /// Deletion kernel of whole-edge kinds: retracts one non-self-loop
+  /// edge. The default ProcessDeleteBatch calls it once per edge; the
+  /// default is fatal.
   virtual void ProcessDelete(const Edge& edge);
 
   /// Batched deletion kernel: a self-loop-free run of whole-edge deletes.

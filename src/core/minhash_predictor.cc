@@ -13,24 +13,8 @@ MinHashPredictor::MinHashPredictor(const MinHashPredictorOptions& options)
   SL_CHECK(options.num_hashes >= 1) << "num_hashes must be >= 1";
 }
 
-void MinHashPredictor::ProcessEdge(const Edge& edge) {
-  store_.Mutable(edge.u).Update(edge.v, family_);
-  store_.Mutable(edge.v).Update(edge.u, family_);
-  degrees_.Increment(edge.u);
-  degrees_.Increment(edge.v);
-}
-
-OverlapEstimate MinHashPredictor::EstimateOverlap(VertexId u,
-                                                  VertexId v) const {
-  // Same code path as a cross-shard query, with ourselves as v's home and
-  // local degree lookups — sharded builds agree with this bit for bit.
-  return EstimateOverlapSharded(
-      u, *this, v,
-      [this](VertexId w) -> double { return degrees_.Degree(w); });
-}
-
 OverlapEstimate MinHashPredictor::EstimateOverlapSharded(
-    VertexId u, const LinkPredictor& v_home, VertexId v,
+    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
   const auto* peer = dynamic_cast<const MinHashPredictor*>(&v_home);
   SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
@@ -155,23 +139,6 @@ Result<MinHashPredictor> MinHashPredictor::LoadFrom(BinaryReader& reader,
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);
-  return predictor;
-}
-
-Result<MinHashPredictor> MinHashPredictor::Load(const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
-  if (!header.ok()) return header.status();
-  if (header->kind != "minhash") {
-    return Status::InvalidArgument("snapshot holds a '" + header->kind +
-                                   "' predictor, expected minhash: " + path);
-  }
-  Result<MinHashPredictor> predictor =
-      LoadFrom(reader, header->payload_version);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
   return predictor;
 }
 

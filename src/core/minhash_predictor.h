@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/sketch_store.h"
 #include "sketch/minhash.h"
 #include "util/hashing.h"
@@ -32,12 +32,11 @@ struct MinHashPredictorOptions {
 ///    sample mean of 1/ln d(w) (resp. 1/d(w)) over the arg-min vertices of
 ///    matching slots — each matching slot is a *uniform* sample of
 ///    N(u) ∩ N(v) by min-wise symmetry.
-class MinHashPredictor : public LinkPredictor {
+class MinHashPredictor : public HalfEdgePredictor {
  public:
   explicit MinHashPredictor(const MinHashPredictorOptions& options = {});
 
   std::string name() const override { return "minhash"; }
-  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const override;
   VertexId num_vertices() const override { return store_.num_vertices(); }
   uint64_t MemoryBytes() const override;
 
@@ -48,20 +47,13 @@ class MinHashPredictor : public LinkPredictor {
   /// (exposed for tests and the space-accuracy experiments).
   const MinHashSketch* Sketch(VertexId u) const { return store_.Get(u); }
 
-  // Vertex-sharded operation (LinkPredictor capability): MinHash slots
-  // take slot-wise minima and degree counters add, both per endpoint, so
-  // the predictor decomposes cleanly across vertex shards. ShardedPredictor
-  // queries are bit-identical to a sequential build; MergeFrom recombines
-  // shards losslessly for snapshotting/shipping.
-  bool SupportsSharding() const override { return true; }
-  void ObserveNeighbor(VertexId u, VertexId neighbor) override {
-    store_.Mutable(u).Update(neighbor, family_);
-    degrees_.Increment(u);
-  }
-  /// One virtual dispatch per ring hand-off instead of per half-edge; the
-  /// k-permutation kernel re-hashes regardless (no single pre-hash can
-  /// feed k slots), so no NeighborHashSeed — the speedup here comes from
-  /// HashFamily's cached seed mixing.
+  // Half-edge kernel (HalfEdgePredictor): MinHash slots take slot-wise
+  // minima and degree counters add, both per endpoint, so the predictor
+  // decomposes cleanly across vertex shards. ShardedPredictor queries are
+  // bit-identical to a sequential build; MergeFrom recombines shards
+  // losslessly for snapshotting/shipping. The k-permutation kernel
+  // re-hashes regardless (no single pre-hash can feed k slots), so no
+  // NeighborHashSeed — HashFamily caches the seed mixing instead.
   void ObserveNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) {
       store_.Mutable(e.u).Update(e.v, family_);
@@ -70,7 +62,7 @@ class MinHashPredictor : public LinkPredictor {
   }
   double OwnedDegree(VertexId u) const override { return degrees_.Degree(u); }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;
 
   /// Folds in a peer predictor built over a *disjoint partition* of the
@@ -100,22 +92,6 @@ class MinHashPredictor : public LinkPredictor {
   /// corrupt predictor.
   static Result<MinHashPredictor> LoadFrom(BinaryReader& reader,
                                            uint32_t payload_version);
-
-  /// Restores a predictor from a Save(path) snapshot file, verifying the
-  /// envelope and the whole-file checksum.
-  static Result<MinHashPredictor> Load(const std::string& path);
-
- protected:
-  void ProcessEdge(const Edge& edge) override;
-  void ProcessBatch(const EdgeBatch& batch) override {
-    AddProcessedEdges(batch.size());
-    for (const Edge& e : batch) {
-      store_.Mutable(e.u).Update(e.v, family_);
-      store_.Mutable(e.v).Update(e.u, family_);
-      degrees_.Increment(e.u);
-      degrees_.Increment(e.v);
-    }
-  }
 
  private:
   MinHashPredictorOptions options_;

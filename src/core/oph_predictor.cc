@@ -15,22 +15,8 @@ OphPredictor::OphPredictor(const OphPredictorOptions& options)
   SL_CHECK(options.num_bins >= 2) << "num_bins must be >= 2";
 }
 
-void OphPredictor::ProcessEdge(const Edge& edge) {
-  store_.Mutable(edge.u).Update(edge.v);
-  store_.Mutable(edge.v).Update(edge.u);
-  degrees_.Increment(edge.u);
-  degrees_.Increment(edge.v);
-}
-
-OverlapEstimate OphPredictor::EstimateOverlap(VertexId u, VertexId v) const {
-  // Same code path as a cross-shard query (see MinHashPredictor).
-  return EstimateOverlapSharded(
-      u, *this, v,
-      [this](VertexId w) -> double { return degrees_.Degree(w); });
-}
-
 OverlapEstimate OphPredictor::EstimateOverlapSharded(
-    VertexId u, const LinkPredictor& v_home, VertexId v,
+    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
   const auto* peer = dynamic_cast<const OphPredictor*>(&v_home);
   SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/sketch_store.h"
 #include "sketch/oph.h"
 #include "util/status.h"
@@ -28,12 +28,11 @@ struct OphPredictorOptions {
 /// degrees reach a few times k; elevated variance on tiny neighborhoods
 /// (densified bins are correlated); ~an order of magnitude faster ingest
 /// at large k.
-class OphPredictor : public LinkPredictor {
+class OphPredictor : public HalfEdgePredictor {
  public:
   explicit OphPredictor(const OphPredictorOptions& options = {});
 
   std::string name() const override { return "oph"; }
-  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const override;
   VertexId num_vertices() const override { return store_.num_vertices(); }
   uint64_t MemoryBytes() const override;
 
@@ -41,16 +40,10 @@ class OphPredictor : public LinkPredictor {
   uint32_t Degree(VertexId u) const { return degrees_.Degree(u); }
   const OphSketch* Sketch(VertexId u) const { return store_.Get(u); }
 
-  // Vertex-sharded operation (LinkPredictor capability): bin updates and
-  // densification depend only on the owning vertex's inserts, so OPH
-  // decomposes across vertex shards like plain MinHash.
-  bool SupportsSharding() const override { return true; }
-  void ObserveNeighbor(VertexId u, VertexId neighbor) override {
-    store_.Mutable(u).Update(neighbor);
-    degrees_.Increment(u);
-  }
-  /// One virtual dispatch per ring hand-off. OPH hashes internally with
-  /// its own bin scheme, so the batch's hash lane is unused.
+  // Half-edge kernel (HalfEdgePredictor): bin updates and densification
+  // depend only on the owning vertex's inserts, so OPH decomposes across
+  // vertex shards like plain MinHash. OPH hashes internally with its own
+  // bin scheme, so the batch's hash lane is unused.
   void ObserveNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) {
       store_.Mutable(e.u).Update(e.v);
@@ -59,7 +52,7 @@ class OphPredictor : public LinkPredictor {
   }
   double OwnedDegree(VertexId u) const override { return degrees_.Degree(u); }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;
 
   /// Snapshot primitive: deep copy via the copy constructor.
@@ -74,9 +67,6 @@ class OphPredictor : public LinkPredictor {
   /// Payload decoder for an already-consumed envelope header.
   static Result<OphPredictor> LoadFrom(BinaryReader& reader,
                                        uint32_t payload_version);
-
- protected:
-  void ProcessEdge(const Edge& edge) override;
 
  private:
   OphPredictorOptions options_;

@@ -1,9 +1,12 @@
 #include "core/predictor_factory.h"
 
+#include <type_traits>
+
 #include "util/flags.h"
 
 #include "core/bottomk_predictor.h"
 #include "core/exact_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/minhash_predictor.h"
 #include "core/oph_predictor.h"
 #include "core/sharded_predictor.h"
@@ -17,125 +20,146 @@ namespace streamlink {
 
 namespace {
 
-/// The per-kind leg of MakePredictor: a plain sequential predictor with no
-/// sharding or tombstone wrapping (both layered on by the caller).
-Result<std::unique_ptr<LinkPredictor>> MakeSequentialKind(
-    const PredictorConfig& config) {
-  if (config.kind != "exact" && config.sketch_size < 2) {
+using Made = Result<std::unique_ptr<LinkPredictor>>;
+
+/// Builds a sketch kind, which needs at least two slots per vertex.
+template <typename PredictorT, typename OptionsT>
+Made Sketch(const PredictorConfig& config, const OptionsT& options) {
+  if (config.sketch_size < 2) {
     return Status::InvalidArgument("sketch_size must be >= 2, got " +
                                    std::to_string(config.sketch_size));
   }
-  if (config.kind == "minhash") {
-    MinHashPredictorOptions options;
-    options.num_hashes = config.sketch_size;
-    options.seed = config.seed;
-    return std::unique_ptr<LinkPredictor>(new MinHashPredictor(options));
-  }
-  if (config.kind == "bottomk") {
-    BottomKPredictorOptions options;
-    options.k = config.sketch_size;
-    options.seed = config.seed;
-    options.track_exact_degrees = !config.sketch_degrees;
-    return std::unique_ptr<LinkPredictor>(new BottomKPredictor(options));
-  }
-  if (config.kind == "vertex_biased") {
-    VertexBiasedPredictorOptions options;
-    options.num_hashes = config.sketch_size / 2;
-    options.num_weighted_samples =
-        config.sketch_size - options.num_hashes;
-    options.seed = config.seed;
-    return std::unique_ptr<LinkPredictor>(new VertexBiasedPredictor(options));
-  }
-  if (config.kind == "oph") {
-    OphPredictorOptions options;
-    options.num_bins = config.sketch_size;
-    options.seed = config.seed;
-    return std::unique_ptr<LinkPredictor>(new OphPredictor(options));
-  }
-  if (config.kind == "windowed_minhash") {
-    WindowedPredictorOptions options;
-    options.num_hashes = config.sketch_size;
-    options.seed = config.seed;
-    options.window_edges = config.window_edges;
-    options.num_buckets = config.window_buckets;
-    return std::unique_ptr<LinkPredictor>(
-        new WindowedMinHashPredictor(options));
-  }
-  if (config.kind == "tcm") {
-    if (config.tcm_depth < 1) {
-      return Status::InvalidArgument("tcm_depth must be >= 1, got " +
-                                     std::to_string(config.tcm_depth));
-    }
-    TcmPredictorOptions options;
-    options.width = config.sketch_size;
-    options.depth = config.tcm_depth;
-    options.seed = config.seed;
-    return std::unique_ptr<LinkPredictor>(new TcmPredictor(options));
-  }
-  if (config.kind == "exact") {
-    return std::unique_ptr<LinkPredictor>(new ExactPredictor());
-  }
-  return Status::InvalidArgument("unknown predictor kind: " + config.kind);
+  return std::unique_ptr<LinkPredictor>(new PredictorT(options));
 }
 
+Made MakeMinHash(const PredictorConfig& config) {
+  MinHashPredictorOptions options;
+  options.num_hashes = config.sketch_size;
+  options.seed = config.seed;
+  return Sketch<MinHashPredictor>(config, options);
+}
+
+Made MakeBottomK(const PredictorConfig& config) {
+  BottomKPredictorOptions options;
+  options.k = config.sketch_size;
+  options.seed = config.seed;
+  options.track_exact_degrees = !config.sketch_degrees;
+  return Sketch<BottomKPredictor>(config, options);
+}
+
+Made MakeVertexBiased(const PredictorConfig& config) {
+  VertexBiasedPredictorOptions options;
+  options.num_hashes = config.sketch_size / 2;
+  options.num_weighted_samples = config.sketch_size - options.num_hashes;
+  options.seed = config.seed;
+  return Sketch<VertexBiasedPredictor>(config, options);
+}
+
+Made MakeOph(const PredictorConfig& config) {
+  OphPredictorOptions options;
+  options.num_bins = config.sketch_size;
+  options.seed = config.seed;
+  return Sketch<OphPredictor>(config, options);
+}
+
+Made MakeWindowedMinHash(const PredictorConfig& config) {
+  WindowedPredictorOptions options;
+  options.num_hashes = config.sketch_size;
+  options.seed = config.seed;
+  options.window_edges = config.window_edges;
+  options.num_buckets = config.window_buckets;
+  return Sketch<WindowedMinHashPredictor>(config, options);
+}
+
+Made MakeTcm(const PredictorConfig& config) {
+  if (config.tcm_depth < 1) {
+    return Status::InvalidArgument("tcm_depth must be >= 1, got " +
+                                   std::to_string(config.tcm_depth));
+  }
+  TcmPredictorOptions options;
+  options.width = config.sketch_size;
+  options.depth = config.tcm_depth;
+  options.seed = config.seed;
+  return Sketch<TcmPredictor>(config, options);
+}
+
+/// The exact baseline has no sketch, so it ignores sketch_size.
+Made MakeExact(const PredictorConfig& /*config*/) {
+  return std::unique_ptr<LinkPredictor>(new ExactPredictor());
+}
+
+template <typename PredictorT>
+Made Load(BinaryReader& reader, uint32_t payload_version) {
+  Result<PredictorT> loaded = PredictorT::LoadFrom(reader, payload_version);
+  if (!loaded.ok()) return loaded.status();
+  return std::unique_ptr<LinkPredictor>(
+      new PredictorT(std::move(loaded).value()));
+}
+
+/// A row whose `shardable` is the type fact it stands for.
+template <typename PredictorT>
+constexpr PredictorKind Row(std::string_view name, bool deletable,
+                            Made (*make)(const PredictorConfig&)) {
+  return {name, std::is_base_of_v<HalfEdgePredictor, PredictorT>, deletable,
+          make, &Load<PredictorT>};
+}
+
+constexpr PredictorKind kKinds[] = {
+    Row<MinHashPredictor>("minhash", /*deletable=*/false, MakeMinHash),
+    Row<BottomKPredictor>("bottomk", /*deletable=*/false, MakeBottomK),
+    Row<VertexBiasedPredictor>("vertex_biased", /*deletable=*/false,
+                               MakeVertexBiased),
+    Row<OphPredictor>("oph", /*deletable=*/false, MakeOph),
+    Row<WindowedMinHashPredictor>("windowed_minhash", /*deletable=*/false,
+                                  MakeWindowedMinHash),
+    Row<TcmPredictor>("tcm", /*deletable=*/true, MakeTcm),
+    Row<ExactPredictor>("exact", /*deletable=*/true, MakeExact),
+};
+
 }  // namespace
+
+std::span<const PredictorKind> PredictorKindTable() { return kKinds; }
+
+const PredictorKind* FindPredictorKind(std::string_view kind) {
+  for (const PredictorKind& row : kKinds) {
+    if (row.name == kind) return &row;
+  }
+  return nullptr;
+}
+
+std::vector<std::string> PredictorKinds() {
+  std::vector<std::string> names;
+  for (const PredictorKind& row : kKinds) names.emplace_back(row.name);
+  return names;
+}
 
 Result<std::unique_ptr<LinkPredictor>> MakePredictor(
     const PredictorConfig& config) {
   if (config.threads == 0) {
     return Status::InvalidArgument("threads must be >= 1, got 0");
   }
-  if (config.tombstone_window > 0) {
-    if (KindSupportsDeletions(config.kind)) {
-      return Status::InvalidArgument(
-          config.kind + " deletes natively; drop tombstone_window");
-    }
-    if (config.threads > 1) {
-      return Status::InvalidArgument(
-          "tombstone window is sequential-only (the FIFO spans the whole "
-          "stream); use threads=1");
-    }
-    if (config.tombstone_window > UINT32_MAX) {
-      return Status::InvalidArgument("tombstone_window too large");
-    }
-    auto inner = MakeSequentialKind(config);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<LinkPredictor>(new TombstoneWindowPredictor(
-        std::move(*inner), static_cast<uint32_t>(config.tombstone_window)));
-  }
   if (config.threads > 1) {
     auto sharded = ShardedPredictor::Make(config);
     if (!sharded.ok()) return sharded.status();
     return std::unique_ptr<LinkPredictor>(std::move(*sharded));
   }
-  return MakeSequentialKind(config);
+  const PredictorKind* kind = FindPredictorKind(config.kind);
+  if (kind == nullptr) {
+    return Status::InvalidArgument("unknown predictor kind: " + config.kind);
+  }
+  if (config.tombstone_window == 0) return kind->make(config);
+  if (kind->deletable) {
+    return Status::InvalidArgument(config.kind +
+                                   " deletes natively; drop tombstone_window");
+  }
+  if (config.tombstone_window > UINT32_MAX) {
+    return Status::InvalidArgument("tombstone_window too large");
+  }
+  auto inner = kind->make(config);
+  if (!inner.ok()) return inner.status();
+  return std::unique_ptr<LinkPredictor>(new TombstoneWindowPredictor(
+      std::move(*inner), static_cast<uint32_t>(config.tombstone_window)));
 }
-
-std::vector<std::string> PredictorKinds() {
-  return {"minhash", "bottomk", "vertex_biased", "oph", "windowed_minhash",
-          "tcm", "exact"};
-}
-
-bool KindSupportsSharding(const std::string& kind) {
-  return kind == "minhash" || kind == "bottomk" || kind == "oph" ||
-         kind == "tcm" || kind == "exact";
-}
-
-bool KindSupportsDeletions(const std::string& kind) {
-  return kind == "tcm" || kind == "exact";
-}
-
-namespace {
-
-/// Lifts a Result<ConcreteT> into a Result<unique_ptr<LinkPredictor>>.
-template <typename PredictorT>
-Result<std::unique_ptr<LinkPredictor>> Lift(Result<PredictorT> result) {
-  if (!result.ok()) return result.status();
-  return std::unique_ptr<LinkPredictor>(
-      new PredictorT(std::move(result).value()));
-}
-
-}  // namespace
 
 Result<std::unique_ptr<LinkPredictor>> LoadPredictorFrom(
     BinaryReader& reader) {
@@ -143,55 +167,13 @@ Result<std::unique_ptr<LinkPredictor>> LoadPredictorFrom(
   if (!header.ok()) return header.status();
   const std::string& kind = header->kind;
   const uint32_t version = header->payload_version;
-  if (kind == "minhash") return Lift(MinHashPredictor::LoadFrom(reader, version));
-  if (kind == "bottomk") return Lift(BottomKPredictor::LoadFrom(reader, version));
-  if (kind == "oph") return Lift(OphPredictor::LoadFrom(reader, version));
-  if (kind == "exact") return Lift(ExactPredictor::LoadFrom(reader, version));
-  if (kind == "tcm") return Lift(TcmPredictor::LoadFrom(reader, version));
+  if (const PredictorKind* row = FindPredictorKind(kind)) {
+    return row->load(reader, version);
+  }
   if (kind == "tombstone") {
-    if (version != 1) {
-      return Status::InvalidArgument("unsupported tombstone payload version " +
-                                     std::to_string(version));
-    }
-    const uint32_t window = reader.ReadU32();
-    const uint64_t unretractable = reader.ReadU64();
-    const uint64_t edges = reader.ReadU64();
-    const uint64_t deletes = reader.ReadU64();
-    auto pending = reader.ReadVector<Edge>();
-    if (!reader.ok()) return reader.status();
-    if (window == 0) {
-      return Status::InvalidArgument("corrupt snapshot: zero tombstone window");
-    }
-    if (pending.size() > window) {
-      return Status::InvalidArgument(
-          "corrupt snapshot: tombstone pending list exceeds its window");
-    }
-    auto inner = LoadPredictorFrom(reader);
-    if (!inner.ok()) return inner.status();
-    if ((*inner)->SupportsDeletions()) {
-      return Status::InvalidArgument(
-          "corrupt snapshot: tombstone window around deletable kind '" +
-          (*inner)->name() + "'");
-    }
-    auto wrapper = std::make_unique<TombstoneWindowPredictor>(
-        std::move(*inner), window);
-    wrapper->RestorePending(std::move(pending));
-    wrapper->SetUnretractableDeletes(unretractable);
-    wrapper->AddProcessedEdges(edges);
-    wrapper->AddProcessedDeletes(deletes);
-    return std::unique_ptr<LinkPredictor>(std::move(wrapper));
+    return TombstoneWindowPredictor::LoadFrom(reader, version);
   }
-  if (kind == "vertex_biased") {
-    return Lift(VertexBiasedPredictor::LoadFrom(reader, version));
-  }
-  if (kind == "windowed_minhash") {
-    return Lift(WindowedMinHashPredictor::LoadFrom(reader, version));
-  }
-  if (kind == "sharded") {
-    auto sharded = ShardedPredictor::LoadFrom(reader, version);
-    if (!sharded.ok()) return sharded.status();
-    return std::unique_ptr<LinkPredictor>(std::move(*sharded));
-  }
+  if (kind == "sharded") return ShardedPredictor::LoadFrom(reader, version);
   if (kind == "weighted_icws" || kind == "directed_minhash") {
     return Status::InvalidArgument(
         "snapshot holds a '" + kind +
@@ -221,9 +203,13 @@ std::vector<std::string> PredictorFlagNames() {
 }
 
 std::string PredictorFlagsHelp() {
+  std::string kinds;
+  for (const PredictorKind& row : kKinds) {
+    if (!kinds.empty()) kinds += '|';
+    kinds += row.name;
+  }
   return
-      "  --kind NAME          predictor kind (minhash|bottomk|vertex_biased|"
-      "oph|windowed_minhash|tcm|exact)\n"
+      "  --kind NAME          predictor kind (" + kinds + ")\n"
       "  --k N                sketch size (slots per vertex)\n"
       "  --seed N             master hash seed\n"
       "  --threads N          ingestion threads (vertex-sharded when > 1)\n"

@@ -2,7 +2,9 @@
 #define STREAMLINK_CORE_PREDICTOR_FACTORY_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/link_predictor.h"
@@ -16,8 +18,7 @@ class FlagParser;
 /// Unified construction knobs for all predictor kinds (bench binaries map
 /// flags straight onto this).
 struct PredictorConfig {
-  /// One of: "minhash", "bottomk", "vertex_biased", "oph",
-  /// "windowed_minhash", "tcm", "exact".
+  /// A registered kind name (PredictorKinds()).
   std::string kind = "minhash";
   /// Sketch size (slots per vertex). For "vertex_biased" the budget is
   /// split evenly between the MinHash part and the weighted part; for
@@ -31,47 +32,66 @@ struct PredictorConfig {
   uint32_t window_buckets = 8;
   /// Ingestion parallelism. 1 builds a plain sequential predictor; > 1
   /// builds a vertex-sharded predictor with one shard per thread (only for
-  /// kinds where KindSupportsSharding). 0 is InvalidArgument.
+  /// kinds the kind table marks shardable). 0 is InvalidArgument.
   uint32_t threads = 1;
   /// tcm only: rows per count strip (the excess-overlap tail shrinks
   /// geometrically in depth; width is sketch_size).
   uint32_t tcm_depth = 3;
-  /// > 0 wraps a non-deletable kind in a TombstoneWindowPredictor of this
-  /// capacity, giving it bounded-lag delete support (sequential only).
-  /// InvalidArgument for natively-deletable kinds or threads > 1.
+  /// > 0 wraps a kind the kind table marks not deletable in a
+  /// TombstoneWindowPredictor of this capacity, giving it bounded-lag
+  /// delete support (sequential only). InvalidArgument for deletable kinds
+  /// or threads > 1.
   uint64_t tombstone_window = 0;
 };
+
+/// One registered predictor kind: every per-kind fact the factory, the
+/// loader, the ingest engine, the verifiers and the CLI read.
+struct PredictorKind {
+  std::string_view name;
+  /// Builds with threads > 1: the kind is a HalfEdgePredictor, whose state
+  /// splits by vertex across shards (core/sharded_predictor.h). The
+  /// others depend on global stream state (current neighbor degrees,
+  /// global edge count) and cannot be sharded losslessly.
+  bool shardable;
+  /// Retracts edges natively (turnstile): DeleteEdge and delete-tagged
+  /// batches are exact inverse updates. The others need a tombstone
+  /// window (PredictorConfig::tombstone_window) for bounded-lag deletes.
+  bool deletable;
+  /// A plain sequential predictor (no sharding, no tombstone window);
+  /// InvalidArgument for out-of-range sizes.
+  Result<std::unique_ptr<LinkPredictor>> (*make)(const PredictorConfig&);
+  /// Decodes the payload that follows this kind's envelope header.
+  Result<std::unique_ptr<LinkPredictor>> (*load)(BinaryReader& reader,
+                                                 uint32_t payload_version);
+};
+
+/// The kind table: one row per registered kind, in PredictorKinds() order.
+std::span<const PredictorKind> PredictorKindTable();
+
+/// The row of `kind`, or nullptr if no registered kind has that name.
+const PredictorKind* FindPredictorKind(std::string_view kind);
+
+/// All predictor kind names MakePredictor accepts, in table order.
+std::vector<std::string> PredictorKinds();
 
 /// Builds a predictor from the config; InvalidArgument on unknown kinds or
 /// out-of-range sizes.
 Result<std::unique_ptr<LinkPredictor>> MakePredictor(
     const PredictorConfig& config);
 
-/// All predictor kind names MakePredictor accepts.
-std::vector<std::string> PredictorKinds();
-
-/// True if the kind can be built with threads > 1 (vertex-sharded state and
-/// bit-identical cross-shard queries). vertex_biased and windowed_minhash
-/// depend on global stream state (current neighbor degrees, global edge
-/// count) and cannot be sharded losslessly.
-bool KindSupportsSharding(const std::string& kind);
-
-/// True if the kind retracts edges natively (turnstile model): DeleteEdge
-/// and delete-tagged batches are exact inverse updates. Other kinds need a
-/// tombstone window (config.tombstone_window) for bounded-lag deletes.
-bool KindSupportsDeletions(const std::string& kind);
-
 // --- Universal snapshot loading ---
 //
 // The restore side of LinkPredictor::SaveTo/Save: every snapshot opens
-// with the universal envelope (util/serde.h), whose kind string selects
-// the payload decoder here. Sibling kinds that are not LinkPredictors
+// with the universal envelope (util/serde.h), whose kind string selects a
+// kind table row to decode the payload, or one of the two container
+// envelopes (tombstone, sharded), each of which may hold only a
+// registered kind. Sibling kinds that are not LinkPredictors
 // (weighted_icws, directed_minhash) have their own static Load and are
 // rejected with a pointer to it.
 
 /// Decodes one complete snapshot envelope (header + payload) from the
-/// reader — the in-stream form used for nested shard envelopes. Does NOT
-/// verify a file checksum; use LoadPredictorSnapshot for whole files.
+/// reader. Does NOT verify a file checksum; use LoadPredictorSnapshot for
+/// whole files.
 Result<std::unique_ptr<LinkPredictor>> LoadPredictorFrom(BinaryReader& reader);
 
 /// Restores a predictor of any kind from a Save(path) snapshot file,

@@ -29,6 +29,15 @@ std::unique_ptr<LinkPredictor> FoldShards(const ShardedPredictor& sharded) {
   return folded;
 }
 
+/// Shards are made, loaded and cloned as LinkPredictors of a kind the
+/// kind table lists as shardable, which makes them HalfEdgePredictors.
+std::unique_ptr<HalfEdgePredictor> AsShard(
+    std::unique_ptr<LinkPredictor> predictor) {
+  auto* shard = dynamic_cast<HalfEdgePredictor*>(predictor.release());
+  SL_CHECK(shard != nullptr) << "a shard is not a HalfEdgePredictor";
+  return std::unique_ptr<HalfEdgePredictor>(shard);
+}
+
 }  // namespace
 
 std::unique_ptr<LinkPredictor> ShardedPredictor::Clone() const {
@@ -36,13 +45,9 @@ std::unique_ptr<LinkPredictor> ShardedPredictor::Clone() const {
   if (kind_ == "bottomk") return FoldShards<BottomKPredictor>(*this);
   if (kind_ == "tcm") return FoldShards<TcmPredictor>(*this);
   // No lossless fold for this kind: clone every shard and keep routing.
-  std::vector<std::unique_ptr<LinkPredictor>> clones;
+  std::vector<std::unique_ptr<HalfEdgePredictor>> clones;
   clones.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    auto clone = shard->Clone();
-    if (clone == nullptr) return nullptr;
-    clones.push_back(std::move(clone));
-  }
+  for (const auto& shard : shards_) clones.push_back(AsShard(shard->Clone()));
   auto copy = std::unique_ptr<ShardedPredictor>(
       new ShardedPredictor(kind_, std::move(clones)));
   copy->AddProcessedEdges(edges_processed());
@@ -55,38 +60,40 @@ Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::Make(
   if (config.threads == 0) {
     return Status::InvalidArgument("threads must be >= 1, got 0");
   }
-  if (!KindSupportsSharding(config.kind)) {
+  if (config.tombstone_window > 0) {
+    return Status::InvalidArgument(
+        "tombstone window is sequential-only (the FIFO spans the whole "
+        "stream); use threads=1");
+  }
+  const PredictorKind* kind = FindPredictorKind(config.kind);
+  if (kind == nullptr || !kind->shardable) {
     return Status::InvalidArgument(
         "predictor kind '" + config.kind +
         "' does not support sharded ingestion (threads > 1)");
   }
   PredictorConfig shard_config = config;
   shard_config.threads = 1;
-  std::vector<std::unique_ptr<LinkPredictor>> shards;
+  std::vector<std::unique_ptr<HalfEdgePredictor>> shards;
   shards.reserve(config.threads);
   for (uint32_t t = 0; t < config.threads; ++t) {
-    auto shard = MakePredictor(shard_config);
+    auto shard = kind->make(shard_config);
     if (!shard.ok()) return shard.status();
-    SL_CHECK((*shard)->SupportsSharding())
-        << config.kind << " disagrees with KindSupportsSharding";
-    shards.push_back(std::move(*shard));
+    shards.push_back(AsShard(std::move(*shard)));
   }
   return std::unique_ptr<ShardedPredictor>(
       new ShardedPredictor(config.kind, std::move(shards)));
 }
 
 void ShardedPredictor::ProcessEdge(const Edge& edge) {
-  shards_[OwnerOf(edge.u)]->ObserveNeighbor(edge.u, edge.v);
-  shards_[OwnerOf(edge.v)]->ObserveNeighbor(edge.v, edge.u);
-}
-
-bool ShardedPredictor::SupportsDeletions() const {
-  return KindSupportsDeletions(kind_);
+  for (const Edge& half : {edge, Edge(edge.v, edge.u)}) {
+    shards_[OwnerOf(half.u)]->ObserveNeighborBatch(EdgeBatch::Single(half));
+  }
 }
 
 void ShardedPredictor::ProcessDelete(const Edge& edge) {
-  shards_[OwnerOf(edge.u)]->RetractNeighbor(edge.u, edge.v);
-  shards_[OwnerOf(edge.v)]->RetractNeighbor(edge.v, edge.u);
+  for (const Edge& half : {edge, Edge(edge.v, edge.u)}) {
+    shards_[OwnerOf(half.u)]->RetractNeighborBatch(EdgeBatch::Single(half));
+  }
 }
 
 OverlapEstimate ShardedPredictor::EstimateOverlap(VertexId u,
@@ -132,7 +139,7 @@ Status ShardedPredictor::SaveTo(BinaryWriter& writer) const {
   return writer.status();
 }
 
-Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::LoadFrom(
+Result<std::unique_ptr<LinkPredictor>> ShardedPredictor::LoadFrom(
     BinaryReader& reader, uint32_t payload_version) {
   if (payload_version != 1 && payload_version != kShardedPayloadVersion) {
     return Status::InvalidArgument("unsupported sharded payload version " +
@@ -144,9 +151,10 @@ Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::LoadFrom(
   uint32_t num_shards = reader.ReadU32();
   if (!reader.ok()) return reader.status();
   // A sharded container only ever wraps shardable leaf kinds; anything
-  // else (including a nested "sharded") is corruption, and rejecting it
-  // here also bounds the LoadPredictorFrom recursion to one level.
-  if (!KindSupportsSharding(kind)) {
+  // else (including a nested "sharded") is corruption. Each shard's header
+  // is checked before its payload is decoded, so nothing here recurses.
+  const PredictorKind* shard_kind = FindPredictorKind(kind);
+  if (shard_kind == nullptr || !shard_kind->shardable) {
     return Status::InvalidArgument(
         "corrupt snapshot: unshardable shard kind '" + kind + "'");
   }
@@ -154,18 +162,20 @@ Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::LoadFrom(
     return Status::InvalidArgument("corrupt snapshot: zero shards");
   }
 
-  std::vector<std::unique_ptr<LinkPredictor>> shards;
-  shards.reserve(num_shards);
+  // No reserve: num_shards is untrusted, and a short file ends the loop.
+  std::vector<std::unique_ptr<HalfEdgePredictor>> shards;
   for (uint32_t t = 0; t < num_shards; ++t) {
-    auto shard = LoadPredictorFrom(reader);
-    if (!shard.ok()) return shard.status();
-    if ((*shard)->name() != kind) {
+    Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
+    if (!header.ok()) return header.status();
+    if (header->kind != kind) {
       return Status::InvalidArgument("corrupt snapshot: shard " +
                                      std::to_string(t) + " holds '" +
-                                     (*shard)->name() + "', expected '" +
-                                     kind + "'");
+                                     header->kind + "', expected '" + kind +
+                                     "'");
     }
-    shards.push_back(std::move(*shard));
+    auto shard = shard_kind->load(reader, header->payload_version);
+    if (!shard.ok()) return shard.status();
+    shards.push_back(AsShard(std::move(*shard)));
   }
   auto predictor = std::unique_ptr<ShardedPredictor>(
       new ShardedPredictor(std::move(kind), std::move(shards)));
@@ -173,7 +183,7 @@ Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::LoadFrom(
   // stream's edge and delete counts.
   predictor->AddProcessedEdges(edges);
   predictor->AddProcessedDeletes(deletes);
-  return predictor;
+  return std::unique_ptr<LinkPredictor>(std::move(predictor));
 }
 
 }  // namespace streamlink

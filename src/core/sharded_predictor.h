@@ -5,23 +5,29 @@
 #include <string>
 #include <vector>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/predictor_factory.h"
 #include "util/status.h"
 
 namespace streamlink {
 
 /// A vertex-partitioned link predictor: N same-configured shards of one
-/// underlying kind, where shard `u % N` owns all of vertex u's state.
+/// shardable kind (a HalfEdgePredictor), where shard `u % N` owns vertex
+/// u's state.
 ///
 /// Every edge (u, v) becomes two half-edges — (u owns v) and (v owns u) —
-/// applied via ObserveNeighbor to the owning shards, so per-vertex state
-/// is never split or duplicated and total memory matches a single
-/// predictor. Queries route to the two owning shards and resolve
-/// common-neighbor degrees through a routed DegreeFn; because each shard's
-/// EstimateOverlapSharded is the same code the sequential predictor runs,
-/// estimates are bit-identical to a sequential build of the same stream.
-/// No merge step exists or is needed.
+/// applied through the owning shards' half-edge batch kernels. Queries
+/// route to the two owning shards and resolve common-neighbor degrees
+/// through a routed DegreeFn; because each shard's EstimateOverlapSharded
+/// is the same code the sequential predictor runs, estimates are
+/// bit-identical to a sequential build of the same stream.
+///
+/// Memory is not that of a single predictor: each shard's per-vertex
+/// store is indexed by global vertex id, so every shard holds rows for all
+/// vertices, not for 1/N of them, and N shards hold about N times the
+/// per-vertex state. Clone() folds minhash, bottomk and tcm into one
+/// single predictor, a further copy. Row-owned shards ("Shard by row
+/// ownership" in ROADMAP.md) would remove both.
 ///
 /// Ingestion through the LinkPredictor interface (OnEdge/OnEdgeBatch)
 /// routes half-edges synchronously; ParallelIngestEngine ingests into the
@@ -31,9 +37,10 @@ namespace streamlink {
 /// does); queries must not run concurrently with writes.
 class ShardedPredictor : public LinkPredictor {
  public:
-  /// Builds `config.threads` shards of `config.kind` via MakePredictor.
-  /// InvalidArgument if the kind does not support sharding, if threads is
-  /// 0, or if the per-shard config is itself invalid.
+  /// Builds `config.threads` shards of `config.kind`. InvalidArgument if
+  /// the kind table does not list the kind as shardable, if threads is 0,
+  /// if a tombstone window is set (it is sequential-only), or if the
+  /// per-shard config is itself invalid.
   static Result<std::unique_ptr<ShardedPredictor>> Make(
       const PredictorConfig& config);
 
@@ -48,19 +55,14 @@ class ShardedPredictor : public LinkPredictor {
   /// The shard owning vertex u's state.
   uint32_t OwnerOf(VertexId u) const { return u % num_shards(); }
 
-  LinkPredictor& shard(uint32_t i) { return *shards_[i]; }
-  const LinkPredictor& shard(uint32_t i) const { return *shards_[i]; }
+  HalfEdgePredictor& shard(uint32_t i) { return *shards_[i]; }
+  const HalfEdgePredictor& shard(uint32_t i) const { return *shards_[i]; }
 
   /// The underlying predictor kind, e.g. "minhash".
   const std::string& kind() const { return kind_; }
 
-  /// Turnstile capability is inherited from the underlying kind: a delete
-  /// becomes two half-edge retractions routed to the owning shards, the
-  /// exact mirror of insertion routing.
-  bool SupportsDeletions() const override;
-
   /// Snapshot primitive. Kinds with a lossless disjoint-partition merge
-  /// (minhash, bottomk) are *folded* into one compact single predictor —
+  /// (minhash, bottomk, tcm) are *folded* into one single predictor —
   /// vertex shards own disjoint vertex sets, so the merge is exact and the
   /// snapshot sheds the routing layer. Other kinds clone shard-wise into a
   /// new ShardedPredictor. Either way the clone answers queries
@@ -74,22 +76,24 @@ class ShardedPredictor : public LinkPredictor {
   Status SaveTo(BinaryWriter& writer) const override;
 
   /// Payload decoder for an already-consumed envelope header. Each nested
-  /// shard envelope is decoded through LoadPredictorFrom and checked
-  /// against the container's kind tag.
-  static Result<std::unique_ptr<ShardedPredictor>> LoadFrom(
+  /// shard envelope must name the container's kind, which the kind table
+  /// must list as shardable; its payload is decoded by that table row.
+  static Result<std::unique_ptr<LinkPredictor>> LoadFrom(
       BinaryReader& reader, uint32_t payload_version);
 
  protected:
+  /// Route the two half-edges (a delete retracts them, the mirror of
+  /// insertion routing) through the owning shards' batch kernels.
   void ProcessEdge(const Edge& edge) override;
   void ProcessDelete(const Edge& edge) override;
 
  private:
   ShardedPredictor(std::string kind,
-                   std::vector<std::unique_ptr<LinkPredictor>> shards)
+                   std::vector<std::unique_ptr<HalfEdgePredictor>> shards)
       : kind_(std::move(kind)), shards_(std::move(shards)) {}
 
   std::string kind_;
-  std::vector<std::unique_ptr<LinkPredictor>> shards_;
+  std::vector<std::unique_ptr<HalfEdgePredictor>> shards_;
 };
 
 }  // namespace streamlink

@@ -25,14 +25,8 @@ void TcmPredictor::GrowDegrees(VertexId u) {
   degrees_.resize(needed, 0);
 }
 
-OverlapEstimate TcmPredictor::EstimateOverlap(VertexId u, VertexId v) const {
-  return EstimateOverlapSharded(
-      u, *this, v,
-      [this](VertexId w) -> double { return static_cast<double>(Degree(w)); });
-}
-
 OverlapEstimate TcmPredictor::EstimateOverlapSharded(
-    VertexId u, const LinkPredictor& v_home, VertexId v,
+    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
   const auto* peer = dynamic_cast<const TcmPredictor*>(&v_home);
   SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
@@ -156,22 +150,6 @@ Result<TcmPredictor> TcmPredictor::LoadFrom(BinaryReader& reader,
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);
   predictor.AddProcessedDeletes(deletes);
-  return predictor;
-}
-
-Result<TcmPredictor> TcmPredictor::Load(const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
-  if (!header.ok()) return header.status();
-  if (header->kind != "tcm") {
-    return Status::InvalidArgument("snapshot holds a '" + header->kind +
-                                   "' predictor, expected tcm: " + path);
-  }
-  Result<TcmPredictor> predictor = LoadFrom(reader, header->payload_version);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
   return predictor;
 }
 

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/link_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/sketch_store.h"
 #include "sketch/tcm.h"
 #include "util/hashing.h"
@@ -34,15 +34,15 @@ struct TcmPredictorOptions {
 /// Estimators: common neighbors from the one-sided TCM intersection
 /// estimate (clamped to min(d(u), d(v))); Jaccard via |∪| = d(u)+d(v)−|∩|.
 /// Adamic-Adar / Resource-Allocation need per-common-neighbor identity the
-/// count strips deliberately discard and are reported as 0 — the factory's
-/// capability matrix and docs/turnstile.md document the contract, and the
+/// count strips deliberately discard and are reported as 0 — the
+/// capability matrix in docs/algorithms.md and docs/turnstile.md document
+/// the contract, and the
 /// differential oracle checks CN/Jaccard only for this kind.
-class TcmPredictor : public LinkPredictor {
+class TcmPredictor : public HalfEdgePredictor {
  public:
   explicit TcmPredictor(const TcmPredictorOptions& options = {});
 
   std::string name() const override { return "tcm"; }
-  OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const override;
   VertexId num_vertices() const override { return store_.num_vertices(); }
   uint64_t MemoryBytes() const override;
 
@@ -55,21 +55,11 @@ class TcmPredictor : public LinkPredictor {
   }
   const TcmSketch* Sketch(VertexId u) const { return store_.Get(u); }
 
-  // Turnstile capability (LinkPredictor): native deletes.
-  bool SupportsDeletions() const override { return true; }
-
-  // Vertex-sharded operation: strips and signed degrees are per-vertex
-  // sums, so half-edge inserts AND retractions decompose across shards and
-  // replicas exactly like minhash inserts do.
-  bool SupportsSharding() const override { return true; }
-  void ObserveNeighbor(VertexId u, VertexId neighbor) override {
-    UpdateVertex(u, neighbor, +1);
-  }
+  // Half-edge kernels (HalfEdgePredictor): strips and signed degrees are
+  // per-vertex sums, so half-edge inserts AND retractions decompose across
+  // shards exactly like minhash inserts do — native deletes.
   void ObserveNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) UpdateVertex(e.u, e.v, +1);
-  }
-  void RetractNeighbor(VertexId u, VertexId neighbor) override {
-    UpdateVertex(u, neighbor, -1);
   }
   void RetractNeighborBatch(const EdgeBatch& batch) override {
     for (const Edge& e : batch) UpdateVertex(e.u, e.v, -1);
@@ -78,7 +68,7 @@ class TcmPredictor : public LinkPredictor {
     return static_cast<double>(Degree(u));
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const LinkPredictor& v_home, VertexId v,
+      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;
 
   /// Disjoint-partition fold: cells and degrees add, insert and delete
@@ -95,31 +85,6 @@ class TcmPredictor : public LinkPredictor {
   Status SaveTo(BinaryWriter& writer) const override;
   static Result<TcmPredictor> LoadFrom(BinaryReader& reader,
                                        uint32_t payload_version);
-  static Result<TcmPredictor> Load(const std::string& path);
-
- protected:
-  void ProcessEdge(const Edge& edge) override {
-    UpdateVertex(edge.u, edge.v, +1);
-    UpdateVertex(edge.v, edge.u, +1);
-  }
-  void ProcessBatch(const EdgeBatch& batch) override {
-    AddProcessedEdges(batch.size());
-    for (const Edge& e : batch) {
-      UpdateVertex(e.u, e.v, +1);
-      UpdateVertex(e.v, e.u, +1);
-    }
-  }
-  void ProcessDelete(const Edge& edge) override {
-    UpdateVertex(edge.u, edge.v, -1);
-    UpdateVertex(edge.v, edge.u, -1);
-  }
-  void ProcessDeleteBatch(const EdgeBatch& batch) override {
-    AddProcessedDeletes(batch.size());
-    for (const Edge& e : batch) {
-      UpdateVertex(e.u, e.v, -1);
-      UpdateVertex(e.v, e.u, -1);
-    }
-  }
 
  private:
   void UpdateVertex(VertexId u, VertexId neighbor, int32_t delta) {

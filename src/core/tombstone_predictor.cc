@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/predictor_factory.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
@@ -12,8 +13,9 @@ TombstoneWindowPredictor::TombstoneWindowPredictor(
     : inner_(std::move(inner)), window_(window) {
   SL_CHECK(inner_ != nullptr) << "tombstone window needs an inner predictor";
   SL_CHECK(window_ >= 1) << "tombstone window must be >= 1";
-  SL_CHECK(!inner_->SupportsDeletions())
-      << inner_->name() << " deletes natively; no tombstone window needed";
+  const PredictorKind* kind = FindPredictorKind(inner_->name());
+  SL_CHECK(kind != nullptr && !kind->deletable)
+      << inner_->name() << " is not an insert-only registered kind";
 }
 
 void TombstoneWindowPredictor::ProcessEdge(const Edge& edge) {
@@ -71,8 +73,44 @@ Status TombstoneWindowPredictor::SaveTo(BinaryWriter& writer) const {
   return inner_->SaveTo(writer);
 }
 
-void TombstoneWindowPredictor::RestorePending(EdgeList pending) {
-  pending_.assign(pending.begin(), pending.end());
+Result<std::unique_ptr<LinkPredictor>> TombstoneWindowPredictor::LoadFrom(
+    BinaryReader& reader, uint32_t payload_version) {
+  if (payload_version != kTombstonePayloadVersion) {
+    return Status::InvalidArgument("unsupported tombstone payload version " +
+                                   std::to_string(payload_version));
+  }
+  const uint32_t window = reader.ReadU32();
+  const uint64_t unretractable = reader.ReadU64();
+  const uint64_t edges = reader.ReadU64();
+  const uint64_t deletes = reader.ReadU64();
+  auto pending = reader.ReadVector<Edge>();
+  if (!reader.ok()) return reader.status();
+  if (window == 0) {
+    return Status::InvalidArgument("corrupt snapshot: zero tombstone window");
+  }
+  if (pending.size() > window) {
+    return Status::InvalidArgument(
+        "corrupt snapshot: tombstone pending list exceeds its window");
+  }
+  // The inner header is checked before its payload is decoded, so a
+  // crafted chain of nested envelopes never recurses.
+  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
+  if (!header.ok()) return header.status();
+  const PredictorKind* kind = FindPredictorKind(header->kind);
+  if (kind == nullptr || kind->deletable) {
+    return Status::InvalidArgument(
+        "corrupt snapshot: tombstone window around '" + header->kind +
+        "', which is not an insert-only registered kind");
+  }
+  auto inner = kind->load(reader, header->payload_version);
+  if (!inner.ok()) return inner.status();
+  auto wrapper =
+      std::make_unique<TombstoneWindowPredictor>(std::move(*inner), window);
+  wrapper->pending_.assign(pending.begin(), pending.end());
+  wrapper->unretractable_deletes_ = unretractable;
+  wrapper->AddProcessedEdges(edges);
+  wrapper->AddProcessedDeletes(deletes);
+  return std::unique_ptr<LinkPredictor>(std::move(wrapper));
 }
 
 }  // namespace streamlink

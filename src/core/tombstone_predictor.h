@@ -33,8 +33,8 @@ namespace streamlink {
 /// config.tombstone_window > 0 names a non-deletable kind.
 class TombstoneWindowPredictor : public LinkPredictor {
  public:
-  /// Preconditions: inner != nullptr, !inner->SupportsDeletions(),
-  /// window >= 1 (enforced by the factory).
+  /// Preconditions: inner is a registered kind the kind table marks not
+  /// deletable, window >= 1 (enforced by the factory).
   TombstoneWindowPredictor(std::unique_ptr<LinkPredictor> inner,
                            uint32_t window);
 
@@ -44,8 +44,6 @@ class TombstoneWindowPredictor : public LinkPredictor {
   }
   VertexId num_vertices() const override { return inner_->num_vertices(); }
   uint64_t MemoryBytes() const override;
-
-  bool SupportsDeletions() const override { return true; }
 
   const LinkPredictor& inner() const { return *inner_; }
   uint32_t window() const { return window_; }
@@ -60,12 +58,13 @@ class TombstoneWindowPredictor : public LinkPredictor {
   std::unique_ptr<LinkPredictor> Clone() const override;
 
   /// Envelope kind "tombstone": wrapper state followed by the inner
-  /// predictor's complete nested envelope. Restored by LoadPredictorFrom.
+  /// predictor's complete nested envelope.
   Status SaveTo(BinaryWriter& writer) const override;
 
-  // Restore-path setters (snapshot load only; see predictor_factory.cc).
-  void RestorePending(EdgeList pending);
-  void SetUnretractableDeletes(uint64_t n) { unretractable_deletes_ = n; }
+  /// Payload decoder for an already-consumed envelope header. The inner
+  /// envelope must hold a registered kind that cannot delete.
+  static Result<std::unique_ptr<LinkPredictor>> LoadFrom(
+      BinaryReader& reader, uint32_t payload_version);
 
  protected:
   void ProcessEdge(const Edge& edge) override;

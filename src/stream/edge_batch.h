@@ -34,9 +34,10 @@ enum class EdgeOp : uint8_t {
 ///  * `hash_u` / `hash_v` (optional, independently nullable): the seeded
 ///    vertex hash `HashU64(edge.u, seed)` / `HashU64(edge.v, seed)` of each
 ///    element, computed ONCE by the producer under the seed the consumer
-///    announced (LinkPredictor::NeighborHashSeed), so single-hash sketch
-///    kernels (bottom-k) never re-hash on the hot path. Half-edge batches
-///    carry only the `hash_v` (neighbor) lane.
+///    announced (HalfEdgePredictor::NeighborHashSeed), so single-hash
+///    sketch kernels (bottom-k) never re-hash on the hot path. Only the
+///    half-edge kernels read a lane, the `hash_v` (neighbor) lane the
+///    sharded router fills; whole-edge ingest ignores both.
 ///
 /// The view is valid only for the duration of the OnEdgeBatch call it is
 /// passed to; consumers must copy anything they keep. A batch is
@@ -107,6 +108,24 @@ class EdgeBatch {
   const uint64_t* hash_v_ = nullptr;
   const EdgeOp* ops_ = nullptr;
 };
+
+/// Calls `apply(run, op)` on each maximal run of consecutive elements that
+/// share one op, in batch order, lanes still aligned. With
+/// `skip_self_loops`, a self-loop also ends the run and is left out.
+template <typename Apply>
+void ForEachOpRun(const EdgeBatch& batch, bool skip_self_loops,
+                  Apply&& apply) {
+  size_t start = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const bool self_loop = skip_self_loops && batch[i].IsSelfLoop();
+    if (!self_loop && batch.op(i) == batch.op(start)) continue;
+    if (i > start) apply(batch.Slice(start, i - start), batch.op(start));
+    start = self_loop ? i + 1 : i;
+  }
+  if (batch.size() > start) {
+    apply(batch.Slice(start, batch.size() - start), batch.op(start));
+  }
+}
 
 /// Owning storage a producer fills and ships (by move) to a consumer, which
 /// reads it through View(). Appending with a hash on one element and

@@ -195,8 +195,9 @@ using BatchRing = SpscRing<EdgeBatchBuffer>;
 /// router's epoch waits. ApplyHalfEdges forwards op-less batches straight
 /// to ObserveNeighborBatch and splits op-tagged (turnstile) ones into
 /// observe/retract runs.
-void ShardWorker(BatchRing& ring, LinkPredictor& shard, EpochBarrier& epochs,
-                 uint32_t shard_index, obs::Counter* applied_counter) {
+void ShardWorker(BatchRing& ring, HalfEdgePredictor& shard,
+                 EpochBarrier& epochs, uint32_t shard_index,
+                 obs::Counter* applied_counter) {
   EdgeBatchBuffer batch;
   Backoff backoff;
   for (;;) {
@@ -466,12 +467,13 @@ Status ParallelIngestEngine::Validate(bool turnstile) const {
     return Status::InvalidArgument(
         "publish cadence set but no on_publish callback");
   }
-  if (turnstile && !KindSupportsDeletions(config_.kind) &&
+  const PredictorKind* kind = FindPredictorKind(config_.kind);
+  if (turnstile && !(kind != nullptr && kind->deletable) &&
       !(config_.threads == 1 && config_.tombstone_window > 0)) {
     return Status::InvalidArgument(
         "predictor kind '" + config_.kind +
-        "' cannot ingest deletions; use a deletable kind "
-        "(KindSupportsDeletions) or a sequential tombstone window");
+        "' cannot ingest deletions; use a deletable kind or a sequential "
+        "tombstone window");
   }
   return Status::Ok();
 }

@@ -78,7 +78,7 @@ struct ParallelIngestOptions {
 ///    single owner in stream order, the result is bit-identical to a
 ///    sequential build — the returned ShardedPredictor answers queries by
 ///    routing to owners, with no merge step. When the kind consumes a
-///    single seeded neighbor hash (LinkPredictor::NeighborHashSeed —
+///    single seeded neighbor hash (HalfEdgePredictor::NeighborHashSeed —
 ///    bottomk), the router pre-computes it once per half-edge into the
 ///    batch's hash lane, so shard workers never re-hash.
 ///
@@ -100,7 +100,7 @@ class ParallelIngestEngine {
   /// Turnstile build: consumes a stream of insert/delete events through
   /// the same loop (op-tagged half-edge batches routed to vertex owners
   /// when threads > 1; bit-identical to a sequential replay). The kind must
-  /// support deletions (KindSupportsDeletions), or be tombstone-wrapped
+  /// be deletable (its kind table row says so), or be tombstone-wrapped
   /// via config.tombstone_window at threads == 1; anything else is
   /// InvalidArgument. Tombstone-wrapped builds are flushed at
   /// end-of-stream.

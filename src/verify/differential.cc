@@ -169,7 +169,8 @@ Result<DifferentialReport> RunDifferentialOracle(
     config.kind = kind;
     config.sketch_size = options.sketch_size;
     config.seed = options.seed;
-    if (options.threads > 1 && KindSupportsSharding(kind)) {
+    const PredictorKind* row = FindPredictorKind(kind);
+    if (options.threads > 1 && row != nullptr && row->shardable) {
       config.threads = options.threads;
     }
     // The tolerance compares against the *whole-stream* exact measures, so
@@ -253,8 +254,8 @@ Result<DifferentialReport> RunTurnstileOracle(
 
   std::vector<std::string> kinds = options.kinds;
   if (kinds.empty()) {
-    for (const std::string& kind : PredictorKinds()) {
-      if (KindSupportsDeletions(kind)) kinds.push_back(kind);
+    for (const PredictorKind& row : PredictorKindTable()) {
+      if (row.deletable) kinds.emplace_back(row.name);
     }
   }
 
@@ -264,7 +265,8 @@ Result<DifferentialReport> RunTurnstileOracle(
   report.all_passed = true;
 
   for (const std::string& kind : kinds) {
-    if (!KindSupportsDeletions(kind)) {
+    const PredictorKind* row = FindPredictorKind(kind);
+    if (row == nullptr || !row->deletable) {
       return Status::InvalidArgument("turnstile oracle: kind '" + kind +
                                      "' does not support deletions");
     }

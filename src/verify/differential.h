@@ -128,7 +128,7 @@ struct TurnstileOracleOptions {
   double overlap_fraction = 0.7;
   double per_query_delta = 0.05;
   double overall_delta = 1e-9;
-  /// Kinds to test; empty = every deletable kind (KindSupportsDeletions).
+  /// Kinds to test; empty = every kind the kind table marks deletable.
   std::vector<std::string> kinds;
   uint32_t threads = 1;
 };

@@ -133,7 +133,8 @@ Result<std::string> SnapshotBytes(const LinkPredictor& predictor,
 }  // namespace
 
 Status CheckShardCountInvariance(const InvariantContext& context) {
-  if (!KindSupportsSharding(context.config.kind)) return Status::Ok();
+  const PredictorKind* kind = FindPredictorKind(context.config.kind);
+  if (kind == nullptr || !kind->shardable) return Status::Ok();
   auto sequential = BuildSequential(context);
   if (!sequential.ok()) return sequential.status();
 
@@ -170,7 +171,8 @@ Status CheckShardCountInvariance(const InvariantContext& context) {
 }
 
 Status CheckOrderedIngestInvariance(const InvariantContext& context) {
-  if (!KindSupportsSharding(context.config.kind)) return Status::Ok();
+  const PredictorKind* kind = FindPredictorKind(context.config.kind);
+  if (kind == nullptr || !kind->shardable) return Status::Ok();
   auto sequential = BuildSequential(context);
   if (!sequential.ok()) return sequential.status();
 
@@ -383,7 +385,8 @@ Status CheckMergeAssociativity(const InvariantContext& context) {
 }
 
 Status CheckTurnstileAnnihilation(const InvariantContext& context) {
-  if (!KindSupportsDeletions(context.config.kind)) return Status::Ok();
+  const PredictorKind* kind = FindPredictorKind(context.config.kind);
+  if (kind == nullptr || !kind->deletable) return Status::Ok();
   // Churn derived from the context's own stream: inserts stay in stream
   // order, every delete targets a then-live edge, and net_edges is exactly
   // the surviving set.

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/bottomk_predictor.h"
+#include "core/predictor_factory.h"
 #include "eval/experiment.h"
 #include "gen/drifting.h"
 #include "gen/workloads.h"
@@ -102,15 +103,16 @@ TEST_F(BottomKSnapshotTest, SaveLoadPreservesEstimates) {
   FeedStream(original, g.edges);
   ASSERT_TRUE(original.Save(path_).ok());
 
-  auto loaded = BottomKPredictor::Load(path_);
+  auto loaded = LoadPredictorSnapshot(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->edges_processed(), original.edges_processed());
+  EXPECT_EQ((*loaded)->name(), "bottomk");
+  EXPECT_EQ((*loaded)->edges_processed(), original.edges_processed());
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     VertexId u = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
     VertexId v = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
     OverlapEstimate a = original.EstimateOverlap(u, v);
-    OverlapEstimate b = loaded->EstimateOverlap(u, v);
+    OverlapEstimate b = (*loaded)->EstimateOverlap(u, v);
     EXPECT_DOUBLE_EQ(a.jaccard, b.jaccard);
     EXPECT_DOUBLE_EQ(a.intersection, b.intersection);
     EXPECT_DOUBLE_EQ(a.adamic_adar, b.adamic_adar);
@@ -122,7 +124,7 @@ TEST_F(BottomKSnapshotTest, GarbageRejected) {
     std::ofstream out(path_, std::ios::binary);
     out << "nope";
   }
-  EXPECT_FALSE(BottomKPredictor::Load(path_).ok());
+  EXPECT_FALSE(LoadPredictorSnapshot(path_).ok());
 }
 
 TEST(BottomKMerge, DisjointPartitionEqualsSinglePass) {

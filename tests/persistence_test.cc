@@ -288,6 +288,53 @@ TEST_F(InvalidSnapshotTest, DegreeTableMismatchIsRejected) {
             std::string::npos);
 }
 
+// A tombstone envelope may hold only a registered kind that cannot
+// delete: neither a deletable kind nor a container envelope, so a chain
+// of nested envelopes is rejected at its second header, not recursed.
+TEST_F(InvalidSnapshotTest, TombstoneAroundNonInsertOnlyKindIsRejected) {
+  PredictorConfig tcm;
+  tcm.kind = "tcm";
+  PredictorConfig sharded_minhash;
+  sharded_minhash.threads = 2;
+  PredictorConfig tombstone_minhash;
+  tombstone_minhash.tombstone_window = 4;
+  for (const PredictorConfig& config :
+       {tcm, sharded_minhash, tombstone_minhash}) {
+    auto inner = MakePredictor(config);
+    ASSERT_TRUE(inner.ok());
+    FeedStream(**inner, {{0, 1}, {1, 2}});
+    Status st = WriteFileAtomic(path_, [&](BinaryWriter& w) {
+      WriteSnapshotHeader(w, "tombstone", 1);
+      w.WriteU32(4);              // window
+      w.WriteU64(0);              // unretractable deletes
+      w.WriteU64(2);              // edges
+      w.WriteU64(0);              // deletes
+      w.WriteVector(EdgeList{});  // pending inserts
+      return (*inner)->SaveTo(w);
+    });
+    ASSERT_TRUE(st.ok());
+    auto loaded = LoadPredictorSnapshot(path_);
+    ASSERT_FALSE(loaded.ok()) << (*inner)->name();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(InvalidSnapshotTest, ImplausibleShardCountIsRejected) {
+  {
+    Status st = WriteFileAtomic(path_, [](BinaryWriter& w) {
+      WriteSnapshotHeader(w, "sharded", 2);
+      w.WriteString("minhash");
+      w.WriteU64(0);           // edges
+      w.WriteU64(0);           // deletes
+      w.WriteU32(UINT32_MAX);  // shards, none of which follow
+      return w.status();
+    });
+    ASSERT_TRUE(st.ok());
+  }
+  EXPECT_FALSE(LoadPredictorSnapshot(path_).ok());
+}
+
 TEST_F(InvalidSnapshotTest, SiblingKindsPointAtTheirOwnLoader) {
   WeightedJaccardPredictor weighted(WeightedPredictorOptions{8, 9});
   weighted.OnWeightedEdge(0, 1, 2.5);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string_view>
+#include <vector>
+
+#include "core/half_edge_predictor.h"
 #include "eval/experiment.h"
+#include "util/serde.h"
 
 namespace streamlink {
 namespace {
@@ -77,7 +84,7 @@ TEST(PredictorFactory, MultiThreadBuildsShardedForSupportedKinds) {
     auto p = MakePredictor(config);
     // threads > 1 must succeed exactly for the shardable kinds, and the
     // result must advertise itself as sharded.
-    if (KindSupportsSharding(kind)) {
+    if (FindPredictorKind(kind)->shardable) {
       ASSERT_TRUE(p.ok()) << kind << ": " << p.status().ToString();
       EXPECT_EQ((*p)->name(), "sharded:" + kind);
     } else {
@@ -87,14 +94,56 @@ TEST(PredictorFactory, MultiThreadBuildsShardedForSupportedKinds) {
   }
 }
 
-TEST(PredictorFactory, KindSupportsShardingMatchesCapabilityFlag) {
-  for (const std::string& kind : PredictorKinds()) {
+// The kind table, row by row: every fact a row states holds for the
+// predictor it builds. The expected matrix is spelled out here, so
+// changing a row fails this test.
+TEST(PredictorFactory, KindTableRowsHoldForTheirPredictors) {
+  const std::vector<std::string> shardable = {"minhash", "bottomk", "oph",
+                                              "tcm", "exact"};
+  const std::vector<std::string> deletable = {"tcm", "exact"};
+  auto listed = [](const std::vector<std::string>& names,
+                   std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  EXPECT_EQ(PredictorKinds(),
+            (std::vector<std::string>{"minhash", "bottomk", "vertex_biased",
+                                      "oph", "windowed_minhash", "tcm",
+                                      "exact"}));
+  for (const PredictorKind& row : PredictorKindTable()) {
+    const std::string kind(row.name);
+    SCOPED_TRACE(kind);
+    EXPECT_EQ(FindPredictorKind(kind), &row);
+    EXPECT_EQ(row.shardable, listed(shardable, kind));
+    EXPECT_EQ(row.deletable, listed(deletable, kind));
+
     PredictorConfig config;
     config.kind = kind;
     auto p = MakePredictor(config);
-    ASSERT_TRUE(p.ok()) << kind;
-    EXPECT_EQ((*p)->SupportsSharding(), KindSupportsSharding(kind)) << kind;
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    EXPECT_EQ((*p)->name(), kind);
+    EXPECT_EQ(dynamic_cast<HalfEdgePredictor*>(p->get()) != nullptr,
+              row.shardable);
+
+    config.threads = 2;
+    EXPECT_EQ(MakePredictor(config).ok(), row.shardable);
+    config.threads = 1;
+    config.tombstone_window = 8;
+    EXPECT_EQ(MakePredictor(config).ok(), !row.deletable);
+
+    FeedStream(**p, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
+    std::ostringstream saved;
+    BinaryWriter writer(saved);
+    ASSERT_TRUE((*p)->SaveTo(writer).ok());
+    std::istringstream in(saved.str());
+    BinaryReader reader(in);
+    auto loaded = LoadPredictorFrom(reader);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::ostringstream resaved;
+    BinaryWriter rewriter(resaved);
+    ASSERT_TRUE((*loaded)->SaveTo(rewriter).ok());
+    EXPECT_EQ(resaved.str(), saved.str());
   }
+  EXPECT_EQ(FindPredictorKind("magic"), nullptr);
 }
 
 TEST(PredictorFactory, AllSketchKindsAgreeOnTinyExactCase) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/minhash_predictor.h"
+#include "core/predictor_factory.h"
 #include "eval/experiment.h"
 #include "gen/workloads.h"
 #include "util/random.h"
@@ -210,17 +211,18 @@ TEST_F(MinHashSnapshotTest, SaveLoadPreservesEveryEstimate) {
   FeedStream(original, g.edges);
   ASSERT_TRUE(original.Save(path_).ok());
 
-  auto loaded = MinHashPredictor::Load(path_);
+  auto loaded = LoadPredictorSnapshot(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->edges_processed(), original.edges_processed());
-  EXPECT_EQ(loaded->num_vertices(), original.num_vertices());
+  EXPECT_EQ((*loaded)->name(), "minhash");
+  EXPECT_EQ((*loaded)->edges_processed(), original.edges_processed());
+  EXPECT_EQ((*loaded)->num_vertices(), original.num_vertices());
 
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     VertexId u = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
     VertexId v = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
     OverlapEstimate a = original.EstimateOverlap(u, v);
-    OverlapEstimate b = loaded->EstimateOverlap(u, v);
+    OverlapEstimate b = (*loaded)->EstimateOverlap(u, v);
     EXPECT_DOUBLE_EQ(a.jaccard, b.jaccard);
     EXPECT_DOUBLE_EQ(a.intersection, b.intersection);
     EXPECT_DOUBLE_EQ(a.adamic_adar, b.adamic_adar);
@@ -232,13 +234,13 @@ TEST_F(MinHashSnapshotTest, LoadedPredictorKeepsIngesting) {
   FeedStream(original, {{0, 1}, {0, 2}});
   ASSERT_TRUE(original.Save(path_).ok());
 
-  auto loaded = MinHashPredictor::Load(path_);
+  auto loaded = LoadPredictorSnapshot(path_);
   ASSERT_TRUE(loaded.ok());
-  loaded->OnEdge(Edge(1, 2));
+  (*loaded)->OnEdge(Edge(1, 2));
 
   MinHashPredictor reference(MinHashPredictorOptions{32, 9});
   FeedStream(reference, {{0, 1}, {0, 2}, {1, 2}});
-  OverlapEstimate a = loaded->EstimateOverlap(0, 1);
+  OverlapEstimate a = (*loaded)->EstimateOverlap(0, 1);
   OverlapEstimate b = reference.EstimateOverlap(0, 1);
   EXPECT_DOUBLE_EQ(a.jaccard, b.jaccard);
   EXPECT_DOUBLE_EQ(a.intersection, b.intersection);
@@ -249,7 +251,7 @@ TEST_F(MinHashSnapshotTest, GarbageFileIsRejected) {
     std::ofstream out(path_, std::ios::binary);
     out << "this is not a snapshot at all";
   }
-  auto loaded = MinHashPredictor::Load(path_);
+  auto loaded = LoadPredictorSnapshot(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -268,7 +270,7 @@ TEST_F(MinHashSnapshotTest, TruncatedSnapshotIsRejected) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(contents.data(), contents.size() / 2);
   }
-  auto loaded = MinHashPredictor::Load(path_);
+  auto loaded = LoadPredictorSnapshot(path_);
   EXPECT_FALSE(loaded.ok());
 }
 

@@ -114,8 +114,8 @@ TEST(ObserveNeighbor, TwoHalfEdgesEqualOneEdge) {
   MinHashPredictorOptions options{32, 4};
   MinHashPredictor whole(options), halves(options);
   whole.OnEdge(Edge(0, 1));
-  halves.ObserveNeighbor(0, 1);
-  halves.ObserveNeighbor(1, 0);
+  const EdgeList half_edges = {{0, 1}, {1, 0}};
+  halves.ObserveNeighborBatch(EdgeBatch(half_edges.data(), half_edges.size()));
   OverlapEstimate a = whole.EstimateOverlap(0, 1);
   OverlapEstimate b = halves.EstimateOverlap(0, 1);
   EXPECT_DOUBLE_EQ(a.jaccard, b.jaccard);
@@ -133,8 +133,10 @@ TEST(ObserveNeighbor, VertexPartitionedShardsMergeToWholeStream) {
   EdgeList edges = {{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}};
   for (const Edge& e : edges) {
     whole.OnEdge(e);
-    (e.u % 2 == 0 ? even : odd).ObserveNeighbor(e.u, e.v);
-    (e.v % 2 == 0 ? even : odd).ObserveNeighbor(e.v, e.u);
+    const Edge reversed(e.v, e.u);
+    (e.u % 2 == 0 ? even : odd).ObserveNeighborBatch(EdgeBatch::Single(e));
+    (e.v % 2 == 0 ? even : odd)
+        .ObserveNeighborBatch(EdgeBatch::Single(reversed));
   }
   even.MergeFrom(odd);
   for (VertexId u = 0; u < 4; ++u) {

@@ -182,6 +182,12 @@ TEST(TurnstileIngest, RejectsTombstoneWithThreads) {
   auto built = engine.Build(stream);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  // An insert-only stream reaches the sharded build directly, which must
+  // refuse the window rather than build tombstone-wrapped shards.
+  VectorEdgeStream inserts(EdgeList{{0, 1}});
+  auto inserted = engine.Build(inserts);
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Sharded DeleteEdge routes retractions to both owners (the synchronous
@@ -194,7 +200,6 @@ TEST(TurnstileIngest, ShardedDeleteMatchesSequential) {
   config.threads = 2;
   auto sharded = MakePredictor(config);
   ASSERT_TRUE(sharded.ok());
-  ASSERT_TRUE((*sharded)->SupportsDeletions());
   for (const EdgeEvent& ev : w.events) {
     if (ev.op == EdgeOp::kInsert) {
       (*sequential)->OnEdge(ev.edge);

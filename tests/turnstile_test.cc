@@ -208,24 +208,7 @@ TEST(TombstoneWindow, CloneCarriesWindowState) {
   EXPECT_EQ(tomb->inner().edges_processed(), 0u);
 }
 
-// --- Factory: capability matrix and validation ---
-
-TEST(Factory, KindSupportsDeletionsMatrix) {
-  EXPECT_TRUE(KindSupportsDeletions("tcm"));
-  EXPECT_TRUE(KindSupportsDeletions("exact"));
-  EXPECT_FALSE(KindSupportsDeletions("minhash"));
-  EXPECT_FALSE(KindSupportsDeletions("bottomk"));
-  EXPECT_FALSE(KindSupportsDeletions("oph"));
-  EXPECT_FALSE(KindSupportsDeletions("windowed_minhash"));
-  EXPECT_FALSE(KindSupportsDeletions("vertex_biased"));
-}
-
-TEST(Factory, PredictorKindsIncludesTcm) {
-  auto kinds = PredictorKinds();
-  bool found = false;
-  for (const auto& k : kinds) found = found || k == "tcm";
-  EXPECT_TRUE(found);
-}
+// --- Factory: tombstone and tcm validation ---
 
 TEST(Factory, TombstoneOnDeletableKindIsRejected) {
   PredictorConfig config;
