@@ -1,18 +1,27 @@
 // Micro-benchmarks (google-benchmark): the primitive operations whose
 // costs the experiment binaries aggregate — hashing, sketch updates and
-// estimates, predictor edge ingestion and queries, generators.
+// estimates, predictor edge ingestion and queries, snapshot and wire
+// serialization, generators.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "core/bottomk_predictor.h"
 #include "core/exact_predictor.h"
 #include "core/minhash_predictor.h"
+#include "core/predictor_factory.h"
 #include "core/vertex_biased_predictor.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
 #include "gen/rmat.h"
+#include "serve/query_codec.h"
 #include "sketch/bbit_minhash.h"
 #include "sketch/bottomk.h"
 #include "sketch/icws.h"
@@ -21,7 +30,9 @@
 #include "sketch/space_saving.h"
 #include "sketch/weighted_sampler.h"
 #include "util/hashing.h"
+#include "util/logging.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace streamlink {
 namespace {
@@ -248,6 +259,95 @@ void BM_MinHashPredictorQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MinHashPredictorQuery)->Arg(16)->Arg(64)->Arg(256);
+
+/// A k=64 minhash predictor over a 16k-vertex BA stream, saved once: a
+/// snapshot of about 16 MB, removed at exit.
+struct SnapshotFixture {
+  SnapshotFixture() : predictor(MinHashPredictorOptions{64, 1}) {
+    Rng rng(1);
+    BarabasiAlbertParams params;
+    params.num_vertices = 16000;
+    params.edges_per_vertex = 8;
+    for (const Edge& e : GenerateBarabasiAlbert(params, rng).edges) {
+      predictor.OnEdge(e);
+    }
+    path = (std::filesystem::temp_directory_path() /
+            ("bench_micro_" + std::to_string(::getpid()) + ".snap"))
+               .string();
+    SL_CHECK_OK(predictor.Save(path));
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ~SnapshotFixture() { std::remove(path.c_str()); }
+
+  MinHashPredictor predictor;
+  std::string path;
+  std::string bytes;
+};
+
+const SnapshotFixture& Snapshot() {
+  static const SnapshotFixture fixture;
+  return fixture;
+}
+
+/// LinkPredictor::Save: encode, checksum, write and fsync.
+void BM_SnapshotSave(benchmark::State& state) {
+  const SnapshotFixture& s = Snapshot();
+  for (auto _ : state) SL_CHECK_OK(s.predictor.Save(s.path));
+  state.SetBytesProcessed(state.iterations() * s.bytes.size());
+}
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
+
+/// LoadPredictorSnapshot: map, verify the checksum, decode.
+void BM_SnapshotLoad(benchmark::State& state) {
+  const SnapshotFixture& s = Snapshot();
+  for (auto _ : state) {
+    auto loaded = LoadPredictorSnapshot(s.path);
+    SL_CHECK(loaded.ok()) << loaded.status().ToString();
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetBytesProcessed(state.iterations() * s.bytes.size());
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
+
+/// The checksum floor of both: one FNV-1a pass over the snapshot's bytes.
+void BM_Fnv1a(benchmark::State& state) {
+  const SnapshotFixture& s = Snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Fnv1aUpdate(kFnv1aOffset, s.bytes.data(), s.bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * s.bytes.size());
+}
+BENCHMARK(BM_Fnv1a)->Unit(benchmark::kMillisecond);
+
+/// An N-pair request and its N-pair answer (two measures, two scores per
+/// pair) through the wire codec: both encodes and both decodes. At 16
+/// pairs the result is about the size of perfbench's common answer.
+void BM_QueryCodecRoundTrip(benchmark::State& state) {
+  const auto num_pairs = static_cast<uint32_t>(state.range(0));
+  QueryRequest request;
+  request.measures = {LinkMeasure::kJaccard, LinkMeasure::kAdamicAdar};
+  QueryResult result;
+  result.meta.snapshot_version = 1;
+  for (uint32_t i = 0; i < num_pairs; ++i) {
+    request.pairs.push_back(QueryPair{i, i + 7});
+    PairResult pr;
+    pr.pair = request.pairs.back();
+    pr.estimate.jaccard = 0.25 * i;
+    pr.scores = {0.25 * i, 1.5 * i};
+    result.pairs.push_back(pr);
+  }
+  for (auto _ : state) {
+    auto decoded_request = DecodeQueryRequest(EncodeQueryRequest(request));
+    auto decoded_result = DecodeQueryResult(EncodeQueryResult(result));
+    benchmark::DoNotOptimize(decoded_request);
+    benchmark::DoNotOptimize(decoded_result);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QueryCodecRoundTrip)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_GenerateErdosRenyi(benchmark::State& state) {
   for (auto _ : state) {

@@ -41,13 +41,10 @@ double BottomKPredictor::Degree(VertexId u) const {
 OverlapEstimate BottomKPredictor::EstimateOverlapSharded(
     VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
-  const auto* peer = dynamic_cast<const BottomKPredictor*>(&v_home);
-  SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
-                            << name() << " vs " << v_home.name();
-  SL_CHECK(options_.k == peer->options_.k &&
-           options_.seed == peer->options_.seed &&
-           options_.track_exact_degrees == peer->options_.track_exact_degrees)
-      << "cross-shard query between differently-configured predictors";
+  SL_CHECK(SameOptions(v_home))
+      << "cross-shard query between differently-configured predictors: "
+      << name() << " vs " << v_home.name();
+  const auto* peer = static_cast<const BottomKPredictor*>(&v_home);
 
   OverlapEstimate est;
   est.degree_u = degree_of(u);
@@ -112,9 +109,7 @@ uint64_t BottomKPredictor::MemoryBytes() const {
 }
 
 void BottomKPredictor::MergeFrom(const BottomKPredictor& other) {
-  SL_CHECK(options_.k == other.options_.k &&
-           options_.seed == other.options_.seed &&
-           options_.track_exact_degrees == other.options_.track_exact_degrees)
+  SL_CHECK(options_ == other.options_)
       << "cannot merge predictors with different options";
   store_.MergeFrom(other.store_,
                    [](BottomKSketch& mine, const BottomKSketch& theirs) {
@@ -183,7 +178,7 @@ Result<BottomKPredictor> BottomKPredictor::LoadFrom(BinaryReader& reader,
     }
     BottomKSketch sketch(options.k);
     for (const auto& entry : entries) sketch.Update(entry.hash, entry.item);
-    predictor.store_.Mutable(static_cast<VertexId>(u)) = std::move(sketch);
+    predictor.store_.Append(std::move(sketch));
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);

@@ -20,6 +20,8 @@ struct BottomKPredictorOptions {
   /// estimators instead of exact counters — the fully self-contained
   /// variant whose state is pure sketch (mergeable, no exact side-state).
   bool track_exact_degrees = true;
+
+  bool operator==(const BottomKPredictorOptions&) const = default;
 };
 
 /// Bottom-k (KMV) variant of the streaming link predictor.
@@ -61,6 +63,9 @@ class BottomKPredictor : public HalfEdgePredictor {
     return true;
   }
   double OwnedDegree(VertexId u) const override { return Degree(u); }
+  bool SameOptions(const HalfEdgePredictor& other) const override {
+    return SameKindAndOptions(*this, other);
+  }
   OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;

@@ -104,8 +104,7 @@ Status ReadSide(BinaryReader& reader, uint32_t num_hashes,
     if (slots.size() != num_hashes) {
       return Status::InvalidArgument("corrupt snapshot: bad sketch width");
     }
-    store.Mutable(static_cast<VertexId>(u)) =
-        MinHashSketch::FromSlots(std::move(slots));
+    store.Append(MinHashSketch::FromSlots(std::move(slots)));
   }
   return reader.status();
 }
@@ -160,20 +159,19 @@ Result<DirectedMinHashPredictor> DirectedMinHashPredictor::LoadFrom(
 
 Result<DirectedMinHashPredictor> DirectedMinHashPredictor::Load(
     const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
-  if (!header.ok()) return header.status();
-  if (header->kind != "directed_minhash") {
-    return Status::InvalidArgument(
-        "snapshot holds a '" + header->kind +
-        "' predictor, expected directed_minhash: " + path);
-  }
-  Result<DirectedMinHashPredictor> predictor =
-      LoadFrom(reader, header->payload_version);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
+  Result<DirectedMinHashPredictor> predictor = Status::Internal("unread");
+  Status st = ReadFileVerified(path, [&](BinaryReader& reader) {
+    Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
+    if (!header.ok()) return header.status();
+    if (header->kind != "directed_minhash") {
+      return Status::InvalidArgument(
+          "snapshot holds a '" + header->kind +
+          "' predictor, expected directed_minhash: " + path);
+    }
+    predictor = LoadFrom(reader, header->payload_version);
+    return predictor.status();
+  });
+  if (!st.ok()) return st;
   return predictor;
 }
 

@@ -11,9 +11,10 @@ namespace streamlink {
 OverlapEstimate ExactPredictor::EstimateOverlapSharded(
     VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
-  const auto* peer = dynamic_cast<const ExactPredictor*>(&v_home);
-  SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
-                            << name() << " vs " << v_home.name();
+  SL_CHECK(SameOptions(v_home))
+      << "cross-shard query between differently-configured predictors: "
+      << name() << " vs " << v_home.name();
+  const auto* peer = static_cast<const ExactPredictor*>(&v_home);
 
   OverlapEstimate est;
   const uint32_t du = graph_.Degree(u);
@@ -79,7 +80,10 @@ Result<ExactPredictor> ExactPredictor::LoadFrom(BinaryReader& reader,
   uint64_t edges = reader.ReadU64();
   uint64_t num_edges = reader.ReadU64();
   uint64_t num_vertices = reader.ReadU64();
-  if (!reader.ok()) return reader.status();
+  // Each vertex's neighbor list holds at least its length.
+  if (!reader.CheckCount(num_vertices, sizeof(uint64_t))) {
+    return reader.status();
+  }
 
   ExactPredictor predictor;
   predictor.graph_.EnsureVertices(static_cast<VertexId>(num_vertices));

@@ -38,6 +38,9 @@ class ExactPredictor : public HalfEdgePredictor {
     for (const Edge& e : batch) graph_.RemoveArc(e.u, e.v);
   }
   double OwnedDegree(VertexId u) const override { return graph_.Degree(u); }
+  bool SameOptions(const HalfEdgePredictor& other) const override {
+    return dynamic_cast<const ExactPredictor*>(&other) != nullptr;
+  }
   OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;

@@ -64,10 +64,14 @@ class HalfEdgePredictor : public LinkPredictor {
   /// a routed DegreeFn.
   virtual double OwnedDegree(VertexId u) const = 0;
 
+  /// True when `other` is this kind with the same options: the pairs
+  /// EstimateOverlapSharded accepts, and what each shard of a loaded
+  /// sharded snapshot must be to its shard 0.
+  virtual bool SameOptions(const HalfEdgePredictor& other) const = 0;
+
   /// Pairwise estimate across shards: `this` owns u's state, `v_home`
-  /// (same kind, same options; may be `*this`) owns v's, and `degree_of`
-  /// routes any vertex's degree to its owner. Fatal on cross-kind and
-  /// cross-option pairs.
+  /// (SameOptions; may be `*this`) owns v's, and `degree_of` routes any
+  /// vertex's degree to its owner. Fatal when not SameOptions.
   virtual OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const = 0;
@@ -77,6 +81,14 @@ class HalfEdgePredictor : public LinkPredictor {
   OverlapEstimate EstimateOverlap(VertexId u, VertexId v) const final;
 
  protected:
+  /// SameOptions of a kind whose options() compare with ==.
+  template <typename PredictorT>
+  static bool SameKindAndOptions(const PredictorT& self,
+                                 const HalfEdgePredictor& other) {
+    const auto* peer = dynamic_cast<const PredictorT*>(&other);
+    return peer != nullptr && peer->options() == self.options();
+  }
+
   /// Whole-edge batches: each edge (u, v) becomes the half-edges (u, v)
   /// and (v, u), in stream order, and the kernel receives them as one
   /// batch; the edge or delete count advances once per batch. Every

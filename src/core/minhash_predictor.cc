@@ -16,12 +16,10 @@ MinHashPredictor::MinHashPredictor(const MinHashPredictorOptions& options)
 OverlapEstimate MinHashPredictor::EstimateOverlapSharded(
     VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
-  const auto* peer = dynamic_cast<const MinHashPredictor*>(&v_home);
-  SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
-                            << name() << " vs " << v_home.name();
-  SL_CHECK(options_.num_hashes == peer->options_.num_hashes &&
-           options_.seed == peer->options_.seed)
-      << "cross-shard query between differently-configured predictors";
+  SL_CHECK(SameOptions(v_home))
+      << "cross-shard query between differently-configured predictors: "
+      << name() << " vs " << v_home.name();
+  const auto* peer = static_cast<const MinHashPredictor*>(&v_home);
 
   OverlapEstimate est;
   est.degree_u = degree_of(u);
@@ -69,8 +67,7 @@ uint64_t MinHashPredictor::MemoryBytes() const {
 }
 
 void MinHashPredictor::MergeFrom(const MinHashPredictor& other) {
-  SL_CHECK(options_.num_hashes == other.options_.num_hashes &&
-           options_.seed == other.options_.seed)
+  SL_CHECK(options_ == other.options_)
       << "cannot merge predictors with different options";
   store_.MergeFrom(other.store_,
                    [](MinHashSketch& mine, const MinHashSketch& theirs) {
@@ -134,8 +131,7 @@ Result<MinHashPredictor> MinHashPredictor::LoadFrom(BinaryReader& reader,
     if (slots.size() != options.num_hashes) {
       return Status::InvalidArgument("corrupt snapshot: bad sketch width");
     }
-    predictor.store_.Mutable(static_cast<VertexId>(u)) =
-        MinHashSketch::FromSlots(std::move(slots));
+    predictor.store_.Append(MinHashSketch::FromSlots(std::move(slots)));
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);

@@ -18,6 +18,8 @@ struct MinHashPredictorOptions {
   uint32_t num_hashes = 64;
   /// Master seed of the shared hash family.
   uint64_t seed = 0x5eed;
+
+  bool operator==(const MinHashPredictorOptions&) const = default;
 };
 
 /// The paper's primary method: per-vertex k-permutation MinHash sketches
@@ -61,6 +63,9 @@ class MinHashPredictor : public HalfEdgePredictor {
     }
   }
   double OwnedDegree(VertexId u) const override { return degrees_.Degree(u); }
+  bool SameOptions(const HalfEdgePredictor& other) const override {
+    return SameKindAndOptions(*this, other);
+  }
   OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;

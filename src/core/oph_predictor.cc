@@ -18,12 +18,10 @@ OphPredictor::OphPredictor(const OphPredictorOptions& options)
 OverlapEstimate OphPredictor::EstimateOverlapSharded(
     VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
-  const auto* peer = dynamic_cast<const OphPredictor*>(&v_home);
-  SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
-                            << name() << " vs " << v_home.name();
-  SL_CHECK(options_.num_bins == peer->options_.num_bins &&
-           options_.seed == peer->options_.seed)
-      << "cross-shard query between differently-configured predictors";
+  SL_CHECK(SameOptions(v_home))
+      << "cross-shard query between differently-configured predictors: "
+      << name() << " vs " << v_home.name();
+  const auto* peer = static_cast<const OphPredictor*>(&v_home);
 
   OverlapEstimate est;
   est.degree_u = degree_of(u);
@@ -118,8 +116,7 @@ Result<OphPredictor> OphPredictor::LoadFrom(BinaryReader& reader,
     if (bins.size() != options.num_bins) {
       return Status::InvalidArgument("corrupt snapshot: bad sketch width");
     }
-    predictor.store_.Mutable(static_cast<VertexId>(u)) =
-        OphSketch::FromBins(options.seed, std::move(bins));
+    predictor.store_.Append(OphSketch::FromBins(options.seed, std::move(bins)));
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);

@@ -15,6 +15,8 @@ struct OphPredictorOptions {
   /// Number of bins per vertex (the k of the densified MinHash vector).
   uint32_t num_bins = 64;
   uint64_t seed = 0x5eed;
+
+  bool operator==(const OphPredictorOptions&) const = default;
 };
 
 /// One-permutation-hashing variant of the streaming link predictor: the
@@ -51,6 +53,9 @@ class OphPredictor : public HalfEdgePredictor {
     }
   }
   double OwnedDegree(VertexId u) const override { return degrees_.Degree(u); }
+  bool SameOptions(const HalfEdgePredictor& other) const override {
+    return SameKindAndOptions(*this, other);
+  }
   OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,
       const DegreeFn& degree_of) const override;

@@ -187,12 +187,12 @@ Result<std::unique_ptr<LinkPredictor>> LoadPredictorFrom(
 
 Result<std::unique_ptr<LinkPredictor>> LoadPredictorSnapshot(
     const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  auto predictor = LoadPredictorFrom(reader);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
+  Result<std::unique_ptr<LinkPredictor>> predictor = Status::Internal("unread");
+  Status st = ReadFileVerified(path, [&predictor](BinaryReader& reader) {
+    predictor = LoadPredictorFrom(reader);
+    return predictor.status();
+  });
+  if (!st.ok()) return st;
   return predictor;
 }
 

@@ -176,6 +176,12 @@ Result<std::unique_ptr<LinkPredictor>> ShardedPredictor::LoadFrom(
     auto shard = shard_kind->load(reader, header->payload_version);
     if (!shard.ok()) return shard.status();
     shards.push_back(AsShard(std::move(*shard)));
+    // Queries pair any two shards, which must be configured alike.
+    if (!shards.front()->SameOptions(*shards.back())) {
+      return Status::InvalidArgument("corrupt snapshot: shard " +
+                                     std::to_string(t) +
+                                     " is configured unlike shard 0");
+    }
   }
   auto predictor = std::unique_ptr<ShardedPredictor>(
       new ShardedPredictor(std::move(kind), std::move(shards)));

@@ -42,6 +42,10 @@ class SketchStore {
     while (sketches_.size() < needed) sketches_.push_back(factory_());
   }
 
+  /// Appends the row of vertex num_vertices(): how a snapshot decoder
+  /// restores rows in id order, building each row once.
+  void Append(SketchT sketch) { sketches_.push_back(std::move(sketch)); }
+
   SketchT& Mutable(VertexId u) {
     EnsureVertex(u);
     return sketches_[u];

@@ -28,13 +28,10 @@ void TcmPredictor::GrowDegrees(VertexId u) {
 OverlapEstimate TcmPredictor::EstimateOverlapSharded(
     VertexId u, const HalfEdgePredictor& v_home, VertexId v,
     const DegreeFn& degree_of) const {
-  const auto* peer = dynamic_cast<const TcmPredictor*>(&v_home);
-  SL_CHECK(peer != nullptr) << "cross-shard query between predictor kinds: "
-                            << name() << " vs " << v_home.name();
-  SL_CHECK(options_.width == peer->options_.width &&
-           options_.depth == peer->options_.depth &&
-           options_.seed == peer->options_.seed)
-      << "cross-shard query between differently-configured predictors";
+  SL_CHECK(SameOptions(v_home))
+      << "cross-shard query between differently-configured predictors: "
+      << name() << " vs " << v_home.name();
+  const auto* peer = static_cast<const TcmPredictor*>(&v_home);
 
   OverlapEstimate est;
   est.degree_u = degree_of(u);
@@ -66,9 +63,7 @@ uint64_t TcmPredictor::MemoryBytes() const {
 }
 
 void TcmPredictor::MergeFrom(const TcmPredictor& other) {
-  SL_CHECK(options_.width == other.options_.width &&
-           options_.depth == other.options_.depth &&
-           options_.seed == other.options_.seed)
+  SL_CHECK(options_ == other.options_)
       << "cannot merge predictors with different options";
   store_.MergeFrom(other.store_,
                    [](TcmSketch& mine, const TcmSketch& theirs) {
@@ -144,8 +139,8 @@ Result<TcmPredictor> TcmPredictor::LoadFrom(BinaryReader& reader,
     if (cells.size() != cells_per_vertex) {
       return Status::InvalidArgument("corrupt snapshot: bad tcm strip size");
     }
-    predictor.store_.Mutable(static_cast<VertexId>(u)) =
-        TcmSketch::FromCells(options.depth, options.width, std::move(cells));
+    predictor.store_.Append(
+        TcmSketch::FromCells(options.depth, options.width, std::move(cells)));
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);

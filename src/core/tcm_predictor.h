@@ -22,6 +22,8 @@ struct TcmPredictorOptions {
   uint32_t depth = 3;
   /// Master seed of the shared per-row hash family.
   uint64_t seed = 0x5eed;
+
+  bool operator==(const TcmPredictorOptions&) const = default;
 };
 
 /// The turnstile predictor: per-vertex TCM/GSS-style signed count strips
@@ -66,6 +68,9 @@ class TcmPredictor : public HalfEdgePredictor {
   }
   double OwnedDegree(VertexId u) const override {
     return static_cast<double>(Degree(u));
+  }
+  bool SameOptions(const HalfEdgePredictor& other) const override {
+    return SameKindAndOptions(*this, other);
   }
   OverlapEstimate EstimateOverlapSharded(
       VertexId u, const HalfEdgePredictor& v_home, VertexId v,

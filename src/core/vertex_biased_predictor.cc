@@ -159,11 +159,9 @@ Result<VertexBiasedPredictor> VertexBiasedPredictor::LoadFrom(
             "corrupt snapshot: sampler ranks out of order");
       }
     }
-    predictor.minhash_store_.Mutable(static_cast<VertexId>(u)) =
-        MinHashSketch::FromSlots(std::move(slots));
-    predictor.weighted_store_.Mutable(static_cast<VertexId>(u)) =
-        WeightedBottomKSampler::FromEntries(options.num_weighted_samples,
-                                            std::move(entries));
+    predictor.minhash_store_.Append(MinHashSketch::FromSlots(std::move(slots)));
+    predictor.weighted_store_.Append(WeightedBottomKSampler::FromEntries(
+        options.num_weighted_samples, std::move(entries)));
   }
   if (!reader.ok()) return reader.status();
   predictor.AddProcessedEdges(edges);

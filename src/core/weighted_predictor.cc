@@ -108,8 +108,8 @@ Result<WeightedJaccardPredictor> WeightedJaccardPredictor::LoadFrom(
     if (slots.size() != options.num_slots) {
       return Status::InvalidArgument("corrupt snapshot: bad sketch width");
     }
-    predictor.store_.Mutable(static_cast<VertexId>(u)) =
-        IcwsSketch::FromSlots(options.seed, std::move(slots));
+    predictor.store_.Append(
+        IcwsSketch::FromSlots(options.seed, std::move(slots)));
   }
   if (!reader.ok()) return reader.status();
   predictor.edges_processed_ = edges;
@@ -118,20 +118,19 @@ Result<WeightedJaccardPredictor> WeightedJaccardPredictor::LoadFrom(
 
 Result<WeightedJaccardPredictor> WeightedJaccardPredictor::Load(
     const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
-  if (!header.ok()) return header.status();
-  if (header->kind != "weighted_icws") {
-    return Status::InvalidArgument(
-        "snapshot holds a '" + header->kind +
-        "' predictor, expected weighted_icws: " + path);
-  }
-  Result<WeightedJaccardPredictor> predictor =
-      LoadFrom(reader, header->payload_version);
-  if (!predictor.ok()) return predictor.status();
-  if (Status st = reader.VerifyChecksumFooter(); !st.ok()) return st;
+  Result<WeightedJaccardPredictor> predictor = Status::Internal("unread");
+  Status st = ReadFileVerified(path, [&](BinaryReader& reader) {
+    Result<SnapshotHeader> header = ReadSnapshotHeader(reader);
+    if (!header.ok()) return header.status();
+    if (header->kind != "weighted_icws") {
+      return Status::InvalidArgument(
+          "snapshot holds a '" + header->kind +
+          "' predictor, expected weighted_icws: " + path);
+    }
+    predictor = LoadFrom(reader, header->payload_version);
+    return predictor.status();
+  });
+  if (!st.ok()) return st;
   return predictor;
 }
 

@@ -73,8 +73,8 @@ class WeightedJaccardPredictor {
 
   // Snapshot I/O (kind "weighted_icws"). Not a LinkPredictor, so these are
   // plain members mirroring the virtual Save/SaveTo contract: SaveTo
-  // streams the envelope + payload, Save wraps it in WriteFileAtomic with
-  // a checksum footer, Load verifies both.
+  // writes the envelope + payload, Save wraps it in WriteFileAtomic with
+  // a checksum footer, Load verifies both through ReadFileVerified.
   Status SaveTo(BinaryWriter& writer) const;
   Status Save(const std::string& path) const;
   static Result<WeightedJaccardPredictor> LoadFrom(BinaryReader& reader,

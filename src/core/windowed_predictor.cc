@@ -161,6 +161,11 @@ Result<WindowedMinHashPredictor> WindowedMinHashPredictor::LoadFrom(
     return Status::InvalidArgument("corrupt snapshot: bad window options");
   }
 
+  // Each vertex holds at least its bucket count.
+  if (!reader.CheckCount(num_vertices, sizeof(uint64_t))) {
+    return reader.status();
+  }
+
   WindowedMinHashPredictor predictor(options);
   predictor.vertices_.resize(num_vertices);
   for (uint64_t u = 0; u < num_vertices && reader.ok(); ++u) {

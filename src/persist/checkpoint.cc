@@ -43,9 +43,9 @@ bool ParseSnapshotName(const std::string& name, uint64_t* stream_edges) {
   return ec == std::errc() && ptr == last;
 }
 
-Result<std::vector<CheckpointEntry>> ReadManifest(const std::string& path) {
-  if (Status st = PreflightSnapshotFile(path); !st.ok()) return st;
-  BinaryReader reader(path);
+/// Decodes a manifest payload (after the file's checksum verified).
+Status DecodeManifest(BinaryReader& reader,
+                      std::vector<CheckpointEntry>* entries) {
   auto header = ReadSnapshotHeader(reader);
   if (!header.ok()) return header.status();
   if (header->kind != kManifestKind) {
@@ -63,21 +63,30 @@ Result<std::vector<CheckpointEntry>> ReadManifest(const std::string& path) {
     return Status::InvalidArgument("manifest entry count implausible: " +
                                    std::to_string(count));
   }
-  std::vector<CheckpointEntry> entries;
-  entries.reserve(count);
+  if (!reader.CheckCount(count, 2 * sizeof(uint64_t))) return reader.status();
+  entries->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     CheckpointEntry entry;
     entry.stream_edges = reader.ReadU64();
     entry.edges_processed = reader.ReadU64();
     if (!reader.ok()) return reader.status();
-    if (!entries.empty() && entry.stream_edges <= entries.back().stream_edges) {
+    if (!entries->empty() &&
+        entry.stream_edges <= entries->back().stream_edges) {
       return Status::InvalidArgument(
           "manifest entries out of order (corrupt)");
     }
-    entries.push_back(entry);
+    entries->push_back(entry);
   }
-  if (auto status = reader.VerifyChecksumFooter(); !status.ok()) {
-    return status;
+  return Status::Ok();
+}
+
+Result<std::vector<CheckpointEntry>> ReadManifest(const std::string& path) {
+  std::vector<CheckpointEntry> entries;
+  if (Status st = ReadFileVerified(path, [&entries](BinaryReader& reader) {
+        return DecodeManifest(reader, &entries);
+      });
+      !st.ok()) {
+    return st;
   }
   return entries;
 }

@@ -1,6 +1,5 @@
 #include "serve/query_codec.h"
 
-#include <sstream>
 #include <utility>
 
 #include "util/serde.h"
@@ -15,6 +14,11 @@ namespace {
 /// for wire safety).
 constexpr uint32_t kMaxMeasureValue =
     static_cast<uint32_t>(LinkMeasure::kLeichtHolmeNewman);
+
+/// The encoded size of a result pair with no scores: the two ids, the
+/// seven estimate fields and the score count.
+constexpr size_t kResultPairMinBytes =
+    2 * sizeof(uint32_t) + 7 * sizeof(double) + sizeof(uint64_t);
 
 void WriteEnvelope(BinaryWriter& writer, QueryMessageKind kind) {
   writer.WriteU32(kQueryMessageMagic);
@@ -44,12 +48,6 @@ Status ReadEnvelope(BinaryReader& reader, QueryMessageKind expected) {
   return Status::Ok();
 }
 
-/// Finishes an encode: checksum footer + the encoded bytes.
-std::string Seal(BinaryWriter& writer, std::ostringstream& out) {
-  writer.WriteChecksumFooter();
-  return std::move(out).str();
-}
-
 }  // namespace
 
 const char* NackReasonName(NackReason reason) {
@@ -67,8 +65,7 @@ const char* NackReasonName(NackReason reason) {
 }
 
 std::string EncodeQueryRequest(const QueryRequest& request) {
-  std::ostringstream out;
-  BinaryWriter writer(out);
+  BinaryWriter writer;
   WriteEnvelope(writer, QueryMessageKind::kRequest);
   writer.WriteU32(request.top_k);
   writer.WriteU32(request.trace ? 1 : 0);
@@ -81,12 +78,12 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
     writer.WriteU32(pair.u);
     writer.WriteU32(pair.v);
   }
-  return Seal(writer, out);
+  writer.WriteChecksumFooter();
+  return writer.TakeBytes();
 }
 
 Result<QueryRequest> DecodeQueryRequest(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  BinaryReader reader(in);
+  BinaryReader reader(bytes);
   if (Status st = ReadEnvelope(reader, QueryMessageKind::kRequest); !st.ok()) {
     return st;
   }
@@ -101,6 +98,7 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view bytes) {
     return Status::InvalidArgument("request measure count implausible: " +
                                    std::to_string(measures));
   }
+  if (!reader.CheckCount(measures, sizeof(uint32_t))) return reader.status();
   request.measures.reserve(measures);
   for (uint64_t i = 0; i < measures; ++i) {
     const uint32_t value = reader.ReadU32();
@@ -117,6 +115,9 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view bytes) {
     return Status::InvalidArgument("request pair count implausible: " +
                                    std::to_string(pairs));
   }
+  if (!reader.CheckCount(pairs, 2 * sizeof(uint32_t))) {
+    return reader.status();
+  }
   request.pairs.reserve(pairs);
   for (uint64_t i = 0; i < pairs; ++i) {
     QueryPair pair;
@@ -130,8 +131,7 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view bytes) {
 }
 
 std::string EncodeQueryResult(const QueryResult& result) {
-  std::ostringstream out;
-  BinaryWriter writer(out);
+  BinaryWriter writer;
   WriteEnvelope(writer, QueryMessageKind::kResult);
   writer.WriteU64(result.meta.snapshot_version);
   writer.WriteU64(result.meta.snapshot_edges);
@@ -157,12 +157,12 @@ std::string EncodeQueryResult(const QueryResult& result) {
     writer.WriteU64(pr.scores.size());
     for (double score : pr.scores) writer.WriteDouble(score);
   }
-  return Seal(writer, out);
+  writer.WriteChecksumFooter();
+  return writer.TakeBytes();
 }
 
 Result<QueryResult> DecodeQueryResult(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  BinaryReader reader(in);
+  BinaryReader reader(bytes);
   if (Status st = ReadEnvelope(reader, QueryMessageKind::kResult); !st.ok()) {
     return st;
   }
@@ -178,6 +178,9 @@ Result<QueryResult> DecodeQueryResult(std::string_view bytes) {
     return Status::InvalidArgument("result stage count implausible: " +
                                    std::to_string(stages));
   }
+  if (!reader.CheckCount(stages, sizeof(uint32_t) + sizeof(uint64_t))) {
+    return reader.status();
+  }
   result.stages.reserve(stages);
   for (uint64_t i = 0; i < stages; ++i) {
     StageSample stage;
@@ -191,6 +194,7 @@ Result<QueryResult> DecodeQueryResult(std::string_view bytes) {
     return Status::InvalidArgument("result pair count implausible: " +
                                    std::to_string(pairs));
   }
+  if (!reader.CheckCount(pairs, kResultPairMinBytes)) return reader.status();
   result.pairs.reserve(pairs);
   for (uint64_t i = 0; i < pairs; ++i) {
     PairResult pr;
@@ -209,6 +213,7 @@ Result<QueryResult> DecodeQueryResult(std::string_view bytes) {
       return Status::InvalidArgument("result score count implausible: " +
                                      std::to_string(scores));
     }
+    if (!reader.CheckCount(scores, sizeof(double))) return reader.status();
     pr.scores.reserve(scores);
     for (uint64_t s = 0; s < scores; ++s) {
       pr.scores.push_back(reader.ReadDouble());
@@ -221,18 +226,17 @@ Result<QueryResult> DecodeQueryResult(std::string_view bytes) {
 }
 
 std::string EncodeNack(const NackInfo& nack) {
-  std::ostringstream out;
-  BinaryWriter writer(out);
+  BinaryWriter writer;
   WriteEnvelope(writer, QueryMessageKind::kNack);
   writer.WriteU32(static_cast<uint32_t>(nack.reason));
   writer.WriteU32(nack.retry_after_ms);
   writer.WriteString(nack.message);
-  return Seal(writer, out);
+  writer.WriteChecksumFooter();
+  return writer.TakeBytes();
 }
 
 Result<NackInfo> DecodeNack(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  BinaryReader reader(in);
+  BinaryReader reader(bytes);
   if (Status st = ReadEnvelope(reader, QueryMessageKind::kNack); !st.ok()) {
     return st;
   }

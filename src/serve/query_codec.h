@@ -23,12 +23,14 @@ namespace streamlink {
 //   kind-specific payload | u64 FNV-1a checksum footer
 //
 // All fields little-endian through BinaryWriter/BinaryReader, so the wire
-// bytes share the snapshot format's portability story. The checksum
-// footer covers every preceding byte: decoders verify it and require the
-// input to end there, so ANY single-byte flip, truncation, or trailing
-// garbage is rejected with a clean Status (query_codec_test proves the
-// every-flip property). Decoders also cap all counts before allocating,
-// so corrupt lengths can never trigger huge allocations.
+// bytes share the snapshot format's portability story: encoders append
+// to the writer's buffer and return it, decoders read the given bytes in
+// place. The checksum footer covers every preceding byte: decoders verify
+// it and require the input to end there, so ANY single-byte flip,
+// truncation, or trailing garbage is rejected with a clean Status
+// (query_codec_test proves the every-flip property). Decoders also check
+// every count against its cap and against the bytes left before
+// allocating, so corrupt lengths can never trigger huge allocations.
 
 inline constexpr uint32_t kQueryMessageMagic = 0x534c514d;  // "SLQM"
 /// v2 added the request trace-opt-in flag and the result's per-stage

@@ -1,132 +1,115 @@
 #include "util/serde.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <iterator>
+#include <utility>
 
 namespace streamlink {
 
 static_assert(std::endian::native == std::endian::little,
               "streamlink snapshots assume a little-endian host");
 
-BinaryWriter::BinaryWriter(const std::string& path)
-    : file_(path, std::ios::binary), out_(&file_) {
-  if (!file_.is_open()) {
-    status_ = Status::IoError("cannot open for writing: " + path);
-  }
-}
-
-BinaryWriter::BinaryWriter(std::ostream& out) : out_(&out) {}
-
 void BinaryWriter::WriteBytes(const void* data, size_t size) {
   if (!status_.ok()) return;
-  out_->write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(size));
-  if (!*out_) {
-    status_ = Status::IoError("write failed");
+  const char* bytes = static_cast<const char*>(data);
+  if (fd_ < 0 || buffer_.size() + size < kWriteChunkBytes) {
+    buffer_.append(bytes, size);
     return;
   }
-  checksum_ = Fnv1aUpdate(checksum_, data, size);
+  // A file writer passing the chunk size: top the buffer up to one full
+  // chunk, drain it, repeat.
+  while (size > 0 && status_.ok()) {
+    const size_t n = std::min(size, kWriteChunkBytes - buffer_.size());
+    buffer_.append(bytes, n);
+    bytes += n;
+    size -= n;
+    if (buffer_.size() == kWriteChunkBytes) Drain();
+  }
 }
 
-void BinaryWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
-void BinaryWriter::WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }
-void BinaryWriter::WriteDouble(double v) { WriteBytes(&v, sizeof(v)); }
-
-void BinaryWriter::WriteString(const std::string& s) {
+void BinaryWriter::WriteString(std::string_view s) {
   WriteU64(s.size());
   if (!s.empty()) WriteBytes(s.data(), s.size());
 }
 
 void BinaryWriter::WriteChecksumFooter() {
-  const uint64_t digest = checksum_;  // capture before the footer write
-  WriteU64(digest);
+  WriteU64(Fnv1aUpdate(checksum_, buffer_.data(), buffer_.size()));
 }
 
-Status BinaryWriter::Finish() {
-  out_->flush();
-  if (!*out_ && status_.ok()) status_ = Status::IoError("flush failed");
+void BinaryWriter::Drain() {
+  checksum_ = Fnv1aUpdate(checksum_, buffer_.data(), buffer_.size());
+  WriteOut();
+}
+
+void BinaryWriter::WriteOut() {
+  const char* data = buffer_.data();
+  size_t left = buffer_.size();
+  while (left > 0 && status_.ok()) {
+    const ssize_t n = ::write(fd_, data, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      status_ = Status::IoError("write failed");
+      break;
+    }
+    data += n;
+    left -= static_cast<size_t>(n);
+  }
+  buffer_.clear();
+}
+
+Status BinaryWriter::FinishFile() {
+  Drain();
+  const uint64_t digest = checksum_;
+  buffer_.assign(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  WriteOut();
   return status_;
 }
-
-BinaryReader::BinaryReader(const std::string& path)
-    : file_(path, std::ios::binary), in_(&file_) {
-  if (!file_.is_open()) {
-    status_ = Status::IoError("cannot open for reading: " + path);
-  }
-}
-
-BinaryReader::BinaryReader(std::istream& in) : in_(&in) {}
 
 void BinaryReader::Fail(const std::string& message) {
   if (status_.ok()) status_ = Status::IoError(message);
 }
 
-bool BinaryReader::ReadBytes(void* data, size_t size) {
-  if (!status_.ok()) {
-    std::memset(data, 0, size);
+bool BinaryReader::CheckCount(uint64_t count, size_t min_element_bytes) {
+  if (!ok()) return false;
+  if (min_element_bytes > 0 && count > remaining() / min_element_bytes) {
+    Fail(kTruncated);
     return false;
   }
-  in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (!*in_) {
-    std::memset(data, 0, size);
-    Fail("unexpected end of snapshot");
-    return false;
-  }
-  checksum_ = Fnv1aUpdate(checksum_, data, size);
   return true;
 }
 
-uint32_t BinaryReader::ReadU32() {
-  uint32_t v = 0;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
-uint64_t BinaryReader::ReadU64() {
-  uint64_t v = 0;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
-double BinaryReader::ReadDouble() {
-  double v = 0;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
 std::string BinaryReader::ReadString() {
-  uint64_t size = ReadU64();
+  const uint64_t size = ReadU64();
   if (!ok()) return {};
   if (size > (1ULL << 20)) {
     Fail("string size implausible: " + std::to_string(size));
     return {};
   }
-  std::string s(size, '\0');
-  if (size > 0 && !ReadBytes(s.data(), size)) return {};
+  if (!CheckCount(size, 1)) return {};
+  std::string s(pos_, size);
+  pos_ += size;
   return s;
 }
 
-bool BinaryReader::AtEnd() {
-  if (!status_.ok()) return true;
-  return in_->peek() == std::istream::traits_type::eof();
-}
-
 Status BinaryReader::VerifyChecksumFooter() {
-  if (!status_.ok()) return status_;
-  const uint64_t expected = checksum_;  // digest of everything before footer
+  if (!ok()) return status_;
+  const uint64_t expected =
+      Fnv1aUpdate(kFnv1aOffset, begin_, static_cast<size_t>(pos_ - begin_));
   const uint64_t stored = ReadU64();
-  if (!status_.ok()) return status_;
+  if (!ok()) return status_;
   if (stored != expected) {
-    Fail("snapshot checksum mismatch (corrupt or torn file)");
+    Fail("checksum mismatch (corrupt or torn input)");
     return status_;
   }
   if (!AtEnd()) {
-    Fail("trailing bytes after snapshot checksum");
+    Fail("trailing bytes after checksum");
     return status_;
   }
   return Status::Ok();
@@ -163,90 +146,133 @@ Result<SnapshotHeader> ReadSnapshotHeader(BinaryReader& reader) {
   return header;
 }
 
-Status PreflightSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+namespace {
+
+/// Owns an open file descriptor.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  ~FileDescriptor() { Close(); }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+
+  int get() const { return fd_; }
+  /// Closes it now; false when close(2) reports an error.
+  bool Close() {
+    const int fd = std::exchange(fd_, -1);
+    return fd < 0 || ::close(fd) == 0;
+  }
+
+ private:
+  int fd_;
+};
+
+/// Owns a read-only private mapping of the first `size` bytes of a file,
+/// advised for one sequential pass.
+class FileMapping {
+ public:
+  FileMapping(int fd, size_t size)
+      : data_(::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)),
+        size_(size) {
+    if (ok()) ::madvise(data_, size_, MADV_SEQUENTIAL);
+  }
+  ~FileMapping() {
+    if (ok()) ::munmap(data_, size_);
+  }
+  FileMapping(const FileMapping&) = delete;
+  FileMapping& operator=(const FileMapping&) = delete;
+
+  bool ok() const { return data_ != MAP_FAILED; }
+  const char* data() const { return static_cast<const char*>(data_); }
+
+ private:
+  void* data_;
+  size_t size_;
+};
+
+}  // namespace
+
+Status ReadFileVerified(const std::string& path,
+                        const std::function<Status(BinaryReader&)>& decode) {
+  FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.get() < 0) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  if (bytes.size() < sizeof(uint32_t)) {
+  struct stat info {};
+  if (::fstat(file.get(), &info) != 0) {
+    return Status::IoError("cannot stat: " + path);
+  }
+  const size_t size = static_cast<size_t>(info.st_size);
+  uint32_t magic = 0;
+  uint64_t stored = 0;
+  if (size < sizeof(magic)) {
     return Status::InvalidArgument("not a streamlink snapshot (too short): " +
                                    path);
   }
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
+  // The file is mapped, not copied: its bytes stay clean page cache that
+  // the kernel can reclaim while the decoder builds the state from them.
+  // Snapshots are replaced by rename, never truncated in place, so the
+  // mapping cannot lose pages under the reader.
+  const FileMapping mapping(file.get(), size);
+  if (!mapping.ok()) return Status::IoError("cannot map: " + path);
+  file.Close();
+  const char* bytes = mapping.data();
+
+  std::memcpy(&magic, bytes, sizeof(magic));
   if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("not a streamlink snapshot (bad magic): " +
                                    path);
   }
-  if (bytes.size() < sizeof(uint32_t) + sizeof(uint64_t)) {
+  if (size < sizeof(magic) + sizeof(stored)) {
     return Status::IoError("snapshot truncated before checksum footer: " +
                            path);
   }
-  uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-              sizeof(stored));
-  const uint64_t digest =
-      Fnv1aUpdate(kFnv1aOffset, bytes.data(), bytes.size() - sizeof(stored));
-  if (digest != stored) {
+  const size_t payload = size - sizeof(stored);
+  std::memcpy(&stored, bytes + payload, sizeof(stored));
+  if (Fnv1aUpdate(kFnv1aOffset, bytes, payload) != stored) {
     return Status::IoError(
         "snapshot checksum mismatch (corrupt or torn file): " + path);
   }
-  return Status::Ok();
-}
-
-namespace {
-
-/// fsync(2) on a path; used for the temp file's data and the parent
-/// directory entry after rename. Directory fsync failures are tolerated
-/// (some filesystems refuse), data fsync failures are not.
-Status FsyncPath(const std::string& path, bool required) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return required ? Status::IoError("cannot reopen for fsync: " + path)
-                    : Status::Ok();
-  }
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0 && required) {
-    return Status::IoError("fsync failed: " + path);
+  BinaryReader reader(std::string_view(bytes, payload));
+  if (Status st = decode(reader); !st.ok()) return st;
+  if (!reader.ok()) return reader.status();
+  if (!reader.AtEnd()) {
+    return Status::IoError("trailing bytes before snapshot checksum: " +
+                           path);
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Status WriteFileAtomic(const std::string& path,
                        const std::function<Status(BinaryWriter&)>& fill) {
   const std::string tmp = path + ".tmp";
-  {
-    BinaryWriter writer(tmp);
-    if (!writer.status().ok()) return writer.status();
-    if (Status st = fill(writer); !st.ok()) {
-      std::remove(tmp.c_str());
-      return st;
-    }
-    writer.WriteChecksumFooter();
-    if (Status st = writer.Finish(); !st.ok()) {
-      std::remove(tmp.c_str());
-      return st;
-    }
-  }  // stream closed here; bytes are in the page cache
-  if (Status st = FsyncPath(tmp, /*required=*/true); !st.ok()) {
+  FileDescriptor file(
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666));
+  if (file.get() < 0) {
+    return Status::IoError("cannot open for writing: " + tmp);
+  }
+  BinaryWriter writer(file.get());
+  Status st = fill(writer);
+  if (st.ok()) st = writer.FinishFile();
+  if (st.ok() && ::fsync(file.get()) != 0) {
+    st = Status::IoError("fsync failed: " + tmp);
+  }
+  if (!file.Close() && st.ok()) st = Status::IoError("close failed: " + tmp);
+  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::IoError("rename failed: " + tmp + " -> " + path);
+  }
+  if (!st.ok()) {
     std::remove(tmp.c_str());
     return st;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename failed: " + tmp + " -> " + path);
-  }
   // Persist the directory entry so the rename itself survives a crash.
-  size_t slash = path.find_last_of('/');
+  // Some filesystems refuse a directory fsync; that is tolerated.
+  const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? std::string(".")
                                                      : path.substr(0, slash);
-  return FsyncPath(dir, /*required=*/false);
+  FileDescriptor dir_file(::open(dir.c_str(), O_RDONLY | O_CLOEXEC));
+  if (dir_file.get() >= 0) ::fsync(dir_file.get());
+  return Status::Ok();
 }
 
 }  // namespace streamlink

@@ -45,16 +45,16 @@ int FuzzSnapshotLoader(const uint8_t* data, size_t size) {
   std::string path = ScratchPath("snap");
   WriteBytes(path, data, size);
 
-  // Production path: checksum preflight + parse + footer verification.
+  // Production path: one verified read of the file, then the parse.
   auto checked = LoadPredictorSnapshot(path);
 
-  // Raw path: no whole-file checksum, the way a nested shard envelope
-  // reaches the kind decoders. Every decoder must reject corruption on
-  // its own (length cross-checks, size caps) — never crash or overflow.
-  BinaryReader reader(path);
-  auto raw = reader.ok() ? LoadPredictorFrom(reader)
-                         : Result<std::unique_ptr<LinkPredictor>>(
-                               reader.status());
+  // Raw path: the input bytes with no checksum, the way a nested shard
+  // envelope reaches the kind decoders. Every decoder must reject
+  // corruption on its own (length cross-checks, size caps, counts checked
+  // against the bytes left) — never crash or overflow.
+  BinaryReader reader(
+      std::string_view(reinterpret_cast<const char*>(data), size));
+  auto raw = LoadPredictorFrom(reader);
 
   // Parse/serialize closure: anything accepted must re-save cleanly.
   for (auto* loaded : {&checked, &raw}) {

@@ -21,10 +21,10 @@ namespace streamlink {
 /// every CI run without a fuzzing toolchain.
 
 /// Snapshot loader target. Routes the bytes through BOTH load paths:
-/// LoadPredictorSnapshot (checksum preflight, the production path) and
-/// LoadPredictorFrom on a raw reader (no checksum — exercises every kind
-/// decoder's own validation, the way a nested shard envelope reaches
-/// them). If either path accepts the input, the result must re-save
+/// LoadPredictorSnapshot (one verified read of a scratch file, the
+/// production path) and LoadPredictorFrom on a reader over the input
+/// bytes (no checksum — exercises every kind decoder's own validation,
+/// the way a nested shard envelope reaches them). If either path accepts the input, the result must re-save
 /// cleanly (parse/serialize closure). Returns 0 always.
 int FuzzSnapshotLoader(const uint8_t* data, size_t size);
 

@@ -100,6 +100,31 @@ TEST(FuzzReplay, CheckedInCorpusReplaysClean) {
   }
 }
 
+// Pins the snapshot format against the build that wrote the corpus: a
+// writer change that altered every snapshot alike would still pass the
+// save -> load -> save identity tests, but not this one.
+TEST(FuzzReplay, SnapshotCorpusReSavesToItsOwnBytes) {
+  const std::string dir =
+      std::string(STREAMLINK_FUZZ_CORPUS_DIR) + "/snapshot_loader";
+  // seed_7 is a payload-v1 sharded envelope, which re-saves as v2.
+  const std::string older_format = "seed_7";
+  const std::string resaved = ::testing::TempDir() + "/corpus_resave_" +
+                              std::to_string(::getpid()) + ".snap";
+  size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name == older_format) continue;
+    auto loaded = LoadPredictorSnapshot(entry.path().string());
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    ASSERT_TRUE((*loaded)->Save(resaved).ok()) << name;
+    EXPECT_TRUE(ReadFileBytes(resaved) == ReadFileBytes(entry.path()))
+        << name << " (" << (*loaded)->name() << ") re-saves to other bytes";
+    ++checked;
+  }
+  std::remove(resaved.c_str());
+  EXPECT_GE(checked, 7u);
+}
+
 TEST(FuzzReplay, SnapshotLoaderSurvivesSeededMutations) {
   const FuzzTarget& target = TargetNamed("snapshot_loader");
   uint64_t seed = 0xf022;

@@ -335,6 +335,76 @@ TEST_F(InvalidSnapshotTest, ImplausibleShardCountIsRejected) {
   EXPECT_FALSE(LoadPredictorSnapshot(path_).ok());
 }
 
+// Queries pair any two shards, so a sharded snapshot whose shards differ
+// in options (here num_hashes 64 and 32) is corrupt even though each shard
+// decodes and the checksum holds.
+TEST_F(InvalidSnapshotTest, ShardsConfiguredUnlikeShardZeroAreRejected) {
+  MinHashPredictor wide(MinHashPredictorOptions{64, 9});
+  MinHashPredictor narrow(MinHashPredictorOptions{32, 9});
+  FeedStream(wide, {{0, 2}});
+  FeedStream(narrow, {{1, 3}});
+  {
+    Status st = WriteFileAtomic(path_, [&](BinaryWriter& w) {
+      WriteSnapshotHeader(w, "sharded", 2);
+      w.WriteString("minhash");
+      w.WriteU64(2);  // edges
+      w.WriteU64(0);  // deletes
+      w.WriteU32(2);  // shards
+      if (Status shard = wide.SaveTo(w); !shard.ok()) return shard;
+      return narrow.SaveTo(w);
+    });
+    ASSERT_TRUE(st.ok());
+  }
+  auto loaded = LoadPredictorSnapshot(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("shard 1"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// The raw decoders (no checksum, as a nested envelope reaches them) check
+// every declared count against the bytes that remain before allocating:
+// each envelope below claims far more rows than its few bytes hold, and
+// decodes to the truncation IoError instead of a huge allocation.
+TEST_F(InvalidSnapshotTest, RawCountsBeyondTheInputFailAsTruncation) {
+  std::vector<std::string> inputs;
+  {
+    BinaryWriter w;  // exact: 2^32 - 1 vertices
+    WriteSnapshotHeader(w, "exact", 1);
+    w.WriteU64(0);           // edges
+    w.WriteU64(0);           // num_edges
+    w.WriteU64(UINT32_MAX);  // vertices
+    inputs.push_back(w.TakeBytes());
+  }
+  {
+    BinaryWriter w;  // windowed_minhash: 2^40 vertices
+    WriteSnapshotHeader(w, "windowed_minhash", 1);
+    w.WriteU32(4);           // num_hashes
+    w.WriteU64(8);           // window_edges
+    w.WriteU32(2);           // num_buckets
+    w.WriteU64(9);           // seed
+    w.WriteU64(0);           // edges
+    w.WriteU64(1ULL << 40);  // vertices
+    inputs.push_back(w.TakeBytes());
+  }
+  {
+    BinaryWriter w;  // minhash: a 2^27-entry degree table
+    WriteSnapshotHeader(w, "minhash", 1);
+    w.WriteU32(4);           // num_hashes
+    w.WriteU64(9);           // seed
+    w.WriteU64(0);           // edges
+    w.WriteU64(1ULL << 27);  // degree count, no entries follow
+    inputs.push_back(w.TakeBytes());
+  }
+  for (const std::string& input : inputs) {
+    BinaryReader reader(input);
+    auto loaded = LoadPredictorFrom(reader);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(loaded.status().message(), "unexpected end of input");
+  }
+}
+
 TEST_F(InvalidSnapshotTest, SiblingKindsPointAtTheirOwnLoader) {
   WeightedJaccardPredictor weighted(WeightedPredictorOptions{8, 9});
   weighted.OnWeightedEdge(0, 1, 2.5);

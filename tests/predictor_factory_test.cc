@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -131,17 +131,16 @@ TEST(PredictorFactory, KindTableRowsHoldForTheirPredictors) {
     EXPECT_EQ(MakePredictor(config).ok(), !row.deletable);
 
     FeedStream(**p, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
-    std::ostringstream saved;
-    BinaryWriter writer(saved);
+    BinaryWriter writer;
     ASSERT_TRUE((*p)->SaveTo(writer).ok());
-    std::istringstream in(saved.str());
-    BinaryReader reader(in);
+    const std::string saved = writer.TakeBytes();
+    BinaryReader reader(saved);
     auto loaded = LoadPredictorFrom(reader);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    std::ostringstream resaved;
-    BinaryWriter rewriter(resaved);
+    EXPECT_TRUE(reader.AtEnd());
+    BinaryWriter rewriter;
     ASSERT_TRUE((*loaded)->SaveTo(rewriter).ok());
-    EXPECT_EQ(resaved.str(), saved.str());
+    EXPECT_EQ(rewriter.TakeBytes(), saved);
   }
   EXPECT_EQ(FindPredictorKind("magic"), nullptr);
 }

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/serde.h"
+
 namespace streamlink {
 namespace {
 
@@ -182,6 +184,25 @@ TEST(QueryCodec, UntracedResultCarriesNoStages) {
   Result<QueryResult> decoded = DecodeQueryResult(EncodeQueryResult(result));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->stages.empty());
+}
+
+// A count within the codec's caps but beyond the message's bytes fails as
+// a truncation before the decoder reserves room for it.
+TEST(QueryCodec, PairCountBeyondTheMessageFailsAsTruncation) {
+  BinaryWriter w;
+  w.WriteU32(kQueryMessageMagic);
+  w.WriteU32(kQueryCodecVersion);
+  w.WriteU32(static_cast<uint32_t>(QueryMessageKind::kResult));
+  for (int i = 0; i < 4; ++i) w.WriteU64(0);  // snapshot metadata
+  w.WriteDouble(0);                            // latency
+  w.WriteU64(0);                               // stages
+  w.WriteU64(kMaxCodecPairs);                  // pairs, none follow
+  const std::string bytes = w.TakeBytes();
+  ASSERT_EQ(bytes.size(), 68u);
+  Result<QueryResult> decoded = DecodeQueryResult(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(decoded.status().message(), "unexpected end of input");
 }
 
 TEST(QueryCodec, RejectsGarbage) {

@@ -1,9 +1,11 @@
 #include "util/serde.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -30,75 +32,73 @@ class SerdeTest : public ::testing::Test {
   std::string path_;
 };
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST_F(SerdeTest, PrimitivesRoundTrip) {
-  {
-    BinaryWriter w(path_);
-    ASSERT_TRUE(w.status().ok());
-    w.WriteU32(0xdeadbeef);
-    w.WriteU64(0x0123456789abcdefULL);
-    w.WriteDouble(3.14159);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
-  ASSERT_TRUE(r.ok());
+  BinaryWriter w;
+  w.WriteU32(0xdeadbeef);
+  w.WriteU64(0x0123456789abcdefULL);
+  w.WriteDouble(3.14159);
+  ASSERT_TRUE(w.status().ok());
+  const std::string bytes = w.TakeBytes();
+  EXPECT_EQ(bytes.size(), 20u);
+  BinaryReader r(bytes);
   EXPECT_EQ(r.ReadU32(), 0xdeadbeefu);
   EXPECT_EQ(r.ReadU64(), 0x0123456789abcdefULL);
   EXPECT_DOUBLE_EQ(r.ReadDouble(), 3.14159);
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST_F(SerdeTest, VectorsRoundTrip) {
   std::vector<uint32_t> ints = {1, 2, 3, 4, 5};
   std::vector<double> empty;
-  {
-    BinaryWriter w(path_);
-    w.WriteVector(ints);
-    w.WriteVector(empty);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteVector(ints);
+  w.WriteVector(empty);
+  const std::string bytes = w.TakeBytes();
+  BinaryReader r(bytes);
   EXPECT_EQ(r.ReadVector<uint32_t>(), ints);
   EXPECT_TRUE(r.ReadVector<double>().empty());
   EXPECT_TRUE(r.ok());
 }
 
 TEST_F(SerdeTest, TruncationIsDetected) {
-  {
-    BinaryWriter w(path_);
-    w.WriteU32(7);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteU32(7);
+  const std::string bytes = w.TakeBytes();
+  BinaryReader r(bytes);
   r.ReadU32();
   EXPECT_TRUE(r.ok());
   r.ReadU64();  // past the end
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(r.status().message(), "unexpected end of input");
   // Subsequent reads stay failed and return zero.
   EXPECT_EQ(r.ReadU32(), 0u);
 }
 
 TEST_F(SerdeTest, ImplausibleVectorSizeIsRejected) {
-  {
-    BinaryWriter w(path_);
-    w.WriteU64(~0ULL);  // absurd element count
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteU64(~0ULL);  // absurd element count
+  const std::string bytes = w.TakeBytes();
+  BinaryReader r(bytes);
   auto v = r.ReadVector<uint64_t>();
   EXPECT_TRUE(v.empty());
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(SerdeTest, StringsRoundTrip) {
-  {
-    BinaryWriter w(path_);
-    w.WriteString("minhash");
-    w.WriteString("");
-    w.WriteString(std::string("\0binary\xff", 8));
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteString("minhash");
+  w.WriteString("");
+  w.WriteString(std::string("\0binary\xff", 8));
+  const std::string bytes = w.TakeBytes();
+  BinaryReader r(bytes);
   EXPECT_EQ(r.ReadString(), "minhash");
   EXPECT_EQ(r.ReadString(), "");
   EXPECT_EQ(r.ReadString(), std::string("\0binary\xff", 8));
@@ -109,12 +109,10 @@ TEST_F(SerdeTest, OverflowingVectorSizeIsRejected) {
   // Regression: 0x2000000000000001 * sizeof(uint64_t) wraps to 8, so a
   // product-form guard (size * sizeof(T) > cap) would accept it and
   // resize() would abort. The division-form guard must reject it cleanly.
-  {
-    BinaryWriter w(path_);
-    w.WriteU64(0x2000000000000001ULL);
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteU64(0x2000000000000001ULL);
+  const std::string bytes = w.TakeBytes();
+  BinaryReader r(bytes);
   auto v = r.ReadVector<uint64_t>();
   EXPECT_TRUE(v.empty());
   ASSERT_FALSE(r.ok());
@@ -122,85 +120,189 @@ TEST_F(SerdeTest, OverflowingVectorSizeIsRejected) {
   EXPECT_NE(r.status().message().find("implausible"), std::string::npos);
 }
 
-TEST_F(SerdeTest, ChecksumFooterDetectsEveryByteFlip) {
+// A declared length within the caps but beyond the input fails as a
+// truncation before the reader allocates room for it.
+TEST_F(SerdeTest, CountsBeyondTheRemainingBytesFailAsTruncation) {
+  BinaryWriter w;
+  w.WriteU64(1000);  // string length, 3 bytes follow
+  w.WriteBytes("abc", 3);
+  std::string bytes = w.TakeBytes();
   {
-    BinaryWriter w(path_);
-    w.WriteU32(7);
-    w.WriteVector(std::vector<uint64_t>{1, 2, 3});
-    w.WriteChecksumFooter();
-    ASSERT_TRUE(w.Finish().ok());
+    BinaryReader r(bytes);
+    EXPECT_TRUE(r.ReadString().empty());
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(r.status().message(), "unexpected end of input");
   }
-  std::ifstream in(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  {
+    BinaryReader r(bytes);  // the same length read as 1000 u64s
+    EXPECT_TRUE(r.ReadVector<uint64_t>().empty());
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  }
+  {
+    BinaryReader r(bytes);
+    r.ReadU64();
+    EXPECT_TRUE(r.CheckCount(3, 1));
+    EXPECT_TRUE(r.CheckCount(0, 8));
+    EXPECT_FALSE(r.CheckCount(1, 8));
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  }
+}
 
-  auto verify = [this]() {
-    BinaryReader r(path_);
+TEST_F(SerdeTest, ChecksumFooterDetectsEveryByteFlip) {
+  BinaryWriter w;
+  w.WriteU32(7);
+  w.WriteVector(std::vector<uint64_t>{1, 2, 3});
+  w.WriteChecksumFooter();
+  const std::string bytes = w.TakeBytes();
+
+  auto verify = [](std::string_view input) {
+    BinaryReader r(input);
     r.ReadU32();
     r.ReadVector<uint64_t>();
     return r.VerifyChecksumFooter();
   };
-  ASSERT_TRUE(verify().ok());
+  ASSERT_TRUE(verify(bytes).ok());
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string flipped = bytes;
     flipped[i] = static_cast<char>(flipped[i] ^ 0xff);
-    {
-      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-      out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-    }
-    EXPECT_FALSE(verify().ok()) << "flip at offset " << i << " undetected";
+    EXPECT_FALSE(verify(flipped).ok()) << "flip at offset " << i
+                                       << " undetected";
   }
 }
 
 TEST_F(SerdeTest, ChecksumFooterRejectsTrailingGarbage) {
-  {
-    BinaryWriter w(path_);
-    w.WriteU32(7);
-    w.WriteChecksumFooter();
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::app);
-    out << "extra";
-  }
-  BinaryReader r(path_);
+  BinaryWriter w;
+  w.WriteU32(7);
+  w.WriteChecksumFooter();
+  const std::string bytes = w.TakeBytes() + "extra";
+  BinaryReader r(bytes);
   r.ReadU32();
   EXPECT_FALSE(r.VerifyChecksumFooter().ok());
 }
 
+/// Reads one u32 from a verified file; 0 when it does not verify.
+uint32_t ReadVerifiedU32(const std::string& path) {
+  uint32_t value = 0;
+  Status st = ReadFileVerified(path, [&value](BinaryReader& r) {
+    value = r.ReadU32();
+    return r.status();
+  });
+  return st.ok() ? value : 0;
+}
+
 TEST_F(SerdeTest, WriteFileAtomicCommitsAndCleansUp) {
   ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
-                w.WriteU32(42);
+                w.WriteU32(kSnapshotMagic);
                 return w.status();
               }).ok());
   EXPECT_FALSE(std::ifstream(path_ + ".tmp").good()) << "temp file leaked";
-  BinaryReader r(path_);
-  EXPECT_EQ(r.ReadU32(), 42u);
-  ASSERT_TRUE(r.VerifyChecksumFooter().ok());  // footer appended for us
+  // The footer was appended for us.
+  EXPECT_EQ(ReadVerifiedU32(path_), kSnapshotMagic);
 }
 
 TEST_F(SerdeTest, WriteFileAtomicFailureLeavesOldFileIntact) {
   ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
-                w.WriteU32(1);
+                w.WriteU32(kSnapshotMagic);
                 return w.status();
               }).ok());
+  const std::string before = ReadFileBytes(path_);
   Status st = WriteFileAtomic(path_, [](BinaryWriter& w) {
     w.WriteU32(2);
     return Status::Internal("fill failed midway");
   });
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(std::ifstream(path_ + ".tmp").good()) << "temp file leaked";
-  BinaryReader r(path_);
-  EXPECT_EQ(r.ReadU32(), 1u) << "failed rewrite clobbered the old file";
-  EXPECT_TRUE(r.VerifyChecksumFooter().ok());
+  EXPECT_EQ(ReadFileBytes(path_), before)
+      << "failed rewrite clobbered the old file";
+}
+
+/// Writes `chunks` chunks and a bit more, in small and in oversized
+/// writes, so the writer drains both ways.
+void WriteManyChunks(BinaryWriter& w, size_t chunks) {
+  for (uint32_t i = 0; i < 1000; ++i) w.WriteU32(i);
+  std::vector<uint64_t> big(chunks * kWriteChunkBytes / sizeof(uint64_t));
+  for (size_t i = 0; i < big.size(); ++i) big[i] = i * 0x9e3779b97f4a7c15ULL;
+  w.WriteVector(big);
+  w.WriteString("tail");
+}
+
+TEST_F(SerdeTest, WriteFileAtomicDrainsChunksAndFootersTheWholeFile) {
+  ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
+                WriteManyChunks(w, 3);
+                return w.status();
+              }).ok());
+  BinaryWriter expected;
+  WriteManyChunks(expected, 3);
+  const std::string payload = expected.TakeBytes();
+
+  const std::string file = ReadFileBytes(path_);
+  ASSERT_EQ(file.size(), payload.size() + sizeof(uint64_t));
+  EXPECT_GT(file.size(), 3 * kWriteChunkBytes);
+  EXPECT_TRUE(file.compare(0, payload.size(), payload) == 0);
+  uint64_t footer = 0;
+  std::memcpy(&footer, file.data() + payload.size(), sizeof(footer));
+  EXPECT_EQ(footer, Fnv1aUpdate(kFnv1aOffset, file.data(), payload.size()));
+}
+
+TEST_F(SerdeTest, WriteFileAtomicFailureAfterAChunkReachedTheFile) {
+  ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
+                w.WriteU32(kSnapshotMagic);
+                return w.status();
+              }).ok());
+  const std::string before = ReadFileBytes(path_);
+  const std::string tmp = path_ + ".tmp";
+  size_t tmp_bytes_at_failure = 0;
+  Status st = WriteFileAtomic(path_, [&](BinaryWriter& w) {
+    WriteManyChunks(w, 2);
+    tmp_bytes_at_failure = ReadFileBytes(tmp).size();
+    return Status::Internal("fill failed after two chunks");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_GE(tmp_bytes_at_failure, 2 * kWriteChunkBytes);
+  EXPECT_FALSE(std::ifstream(tmp).good()) << "temp file leaked";
+  EXPECT_EQ(ReadFileBytes(path_), before)
+      << "failed rewrite clobbered the old file";
+}
+
+TEST_F(SerdeTest, ReadFileVerifiedRejectsBytesTheDecoderLeaves) {
+  ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
+                w.WriteU32(kSnapshotMagic);
+                w.WriteU32(7);
+                return w.status();
+              }).ok());
+  EXPECT_EQ(ReadVerifiedU32(path_), 0u);
+  Status st = ReadFileVerified(path_, [](BinaryReader& r) {
+    r.ReadU32();
+    return r.status();
+  });
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("trailing bytes"), std::string::npos);
+}
+
+TEST_F(SerdeTest, WriteFileAtomicLeavesTheModeToTheUmask) {
+  const mode_t old_mask = ::umask(002);
+  const Status st = WriteFileAtomic(path_, [](BinaryWriter& w) {
+    w.WriteU32(kSnapshotMagic);
+    return w.status();
+  });
+  ::umask(old_mask);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  struct stat info {};
+  ASSERT_EQ(::stat(path_.c_str(), &info), 0);
+  EXPECT_EQ(info.st_mode & 0777, 0664u);
 }
 
 TEST(SerdeErrors, MissingFile) {
-  BinaryReader r("/nonexistent/snapshot.bin");
-  EXPECT_FALSE(r.ok());
-  BinaryWriter w("/nonexistent-dir-abc/out.bin");
-  EXPECT_FALSE(w.status().ok());
+  Status read = ReadFileVerified("/nonexistent/snapshot.bin",
+                                 [](BinaryReader&) { return Status::Ok(); });
+  EXPECT_EQ(read.code(), StatusCode::kIoError);
+  // A directory opens but holds no snapshot bytes.
+  EXPECT_FALSE(ReadFileVerified(::testing::TempDir(), [](BinaryReader&) {
+                 return Status::Ok();
+               }).ok());
+  Status write = WriteFileAtomic("/nonexistent-dir-abc/out.bin",
+                                 [](BinaryWriter& w) { return w.status(); });
+  EXPECT_EQ(write.code(), StatusCode::kIoError);
 }
 
 class MinHashSnapshotTest : public SerdeTest {};

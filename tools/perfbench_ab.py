@@ -2,7 +2,7 @@
 """Compare the benchmark of two trees: a base revision against a change.
 
   tools/perfbench_ab.py [--base REV] [--change REV] [--seeds N]
-                        [--scratch DIR]
+                        [--scratch DIR] [--claim WORKLOAD:METRIC]
 
 Run from anywhere inside the repository. The base revision (default
 HEAD) is exported with `git archive` into a scratch directory; the change
@@ -28,8 +28,17 @@ Runs that exit non-zero, fail operations or carry invalid.* facts are
 listed after the table, not dropped. Raw results go to
 SCRATCH/results.json.
 
-Exit codes: 0 every metric ok; 1 a metric is WORSE or a run failed;
-2 usage or setup error; 3 no metric worse, but some unresolved.
+--claim WORKLOAD:METRIC checks a claimed gain on one end-to-end metric.
+Each base run is paired with the change run of the same workload and
+seed; the change wins a pair when it reads better (ties count for
+neither side). The claim prints `gain` only when there are at least 10
+pairs, the change wins at least nine tenths of them, and the change's
+median is better than the base's by more than the base's interquartile
+range; otherwise it prints `not met`. Runs with invalid.* facts stay in.
+
+Exit codes: 0 every metric ok (and the claim, if any, met); 1 a metric
+is WORSE or a run failed; 2 usage or setup error; 3 no metric worse,
+but some unresolved; 4 no metric worse, but the claim is not met.
 Stdlib only; no third-party imports.
 """
 
@@ -123,6 +132,46 @@ def verdict(metric, base, change):
     return ratio, "WORSE" if worse else "ok"
 
 
+def quartiles(values):
+    """(q1, median, q3), inclusive method; a lone value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def check_claim(metric, workload, records):
+    """Prints the paired-run gain check of one metric; True when met."""
+    name = metric["name"]
+    higher = metric["better"] == "higher"
+    by_seed = {r["seed"]: r["metrics"][name] for r in records["base"]
+               if r["workload"] == workload and name in r["metrics"]}
+    pairs = [(by_seed[r["seed"]], r["metrics"][name])
+             for r in records["change"]
+             if r["workload"] == workload and name in r["metrics"] and
+             r["seed"] in by_seed]
+    if not pairs:
+        print("claim %s:%s: no paired runs, not met" % (workload, name))
+        return False
+    wins = sum(1 for base, change in pairs
+               if (change > base if higher else change < base))
+    base_q = quartiles([base for base, _ in pairs])
+    change_q = quartiles([change for _, change in pairs])
+    base_iqr = base_q[2] - base_q[0]
+    gap = change_q[1] - base_q[1] if higher else base_q[1] - change_q[1]
+    met = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gap > base_iqr
+    print("claim %s:%s (%s is better): %d pairs, change wins %d" %
+          (workload, name, metric["better"], len(pairs), wins))
+    for side, (q1, median, q3) in (("base", base_q), ("change", change_q)):
+        print("  %-6s median %.4g, quartiles %.4g .. %.4g" %
+              (side, median, q1, q3))
+    print("  change/base %.3f; medians differ by %.4g in the better "
+          "direction, base IQR %.4g" %
+          (change_q[1] / base_q[1] if base_q[1] else float("inf"), gap,
+           base_iqr))
+    print("  " + ("gain" if met else "not met"))
+    return met
+
+
 def bad_runs(records):
     return [r for r in records
             if r["exit"] != 0 or r["failed"] or r["invalid"] or
@@ -143,6 +192,9 @@ def main():
     parser.add_argument("--scratch", default=None,
                         help="directory for the two copies (default: a "
                              "new temporary directory)")
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                        help="check a claimed gain on one end-to-end "
+                             "metric of one workload")
     args = parser.parse_args()
     if args.seeds < 3:
         parser.error("--seeds must be at least 3")
@@ -156,6 +208,14 @@ def main():
         return 2
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
+    claim = None
+    if args.claim is not None:
+        workload, _, name = args.claim.partition(":")
+        metrics = {m["name"]: m for m in bench["end_to_end"]}
+        if workload not in workloads or name not in metrics:
+            parser.error("--claim wants WORKLOAD:METRIC, one of %s and one "
+                         "of the end-to-end metrics" % "/".join(workloads))
+        claim = (metrics[name], workload)
 
     scratch = args.scratch or tempfile.mkdtemp(prefix="perfbench_ab.")
     trees = {"base": os.path.join(scratch, "base"),
@@ -233,9 +293,12 @@ def main():
                   (r["workload"], r["seed"], r["exit"], r["failed"],
                    ",".join(r["invalid"]) or "-",
                    "" if r["metrics"] else ", no result line"))
+    claim_met = claim is None or check_claim(claim[0], claim[1], records)
     print("raw results: " + os.path.join(scratch, "results.json"))
     if worse:
         return 1
+    if not claim_met:
+        return 4
     return 3 if unresolved else 0
 
 
