@@ -283,17 +283,6 @@ Result<std::optional<CheckpointManager>> OpenCheckpointFlags(
   return std::optional<CheckpointManager>(std::move(manager).value());
 }
 
-/// Folds a sharded build into one compact predictor where the kind merges
-/// losslessly; other kinds stay as routed shard containers (both forms
-/// snapshot through the same virtual Save).
-std::unique_ptr<LinkPredictor> FoldForSnapshot(
-    std::unique_ptr<LinkPredictor> predictor) {
-  if (predictor->name().rfind("sharded:", 0) != 0) return predictor;
-  auto folded = predictor->Clone();
-  SL_CHECK(folded != nullptr);
-  return folded;
-}
-
 Status CmdBuild(const FlagParser& flags, std::ostream& out) {
   if (auto st = flags.CheckUnknown(WithObsFlags(WithPredictorFlags(
           {"input", "snapshot", "checkpoint-dir", "checkpoint-every",
@@ -333,8 +322,7 @@ Status CmdBuild(const FlagParser& flags, std::ostream& out) {
   VectorEdgeStream stream(file->edges);
   auto built = builder.Ingest(stream);
   if (!built.ok()) return built.status();
-  std::unique_ptr<LinkPredictor> predictor =
-      FoldForSnapshot(std::move(*built));
+  std::unique_ptr<LinkPredictor> predictor = std::move(*built);
   if (auto st = predictor->Save(snapshot); !st.ok()) return st;
   out << "ingested " << predictor->edges_processed() << " edges over "
       << predictor->num_vertices() << " vertices";
@@ -412,7 +400,6 @@ Status CmdResume(const FlagParser& flags, std::ostream& out) {
     if (auto st = (*manager)->Write(*predictor, cursor); !st.ok()) return st;
   }
 
-  predictor = FoldForSnapshot(std::move(predictor));
   if (auto st = predictor->Save(snapshot); !st.ok()) return st;
   out << "resumed " << predictor->name() << " from checkpoint at stream edge "
       << start << " (" << restored->path << "); ingested " << (cursor - start)
@@ -431,7 +418,8 @@ Status CmdQuery(const FlagParser& flags, std::ostream& out) {
   auto pairs = ParsePairs(flags.GetString("pairs", ""));
   if (!pairs.ok()) return pairs.status();
   // Universal loader: the envelope's kind tag picks the decoder, so any
-  // `build --kind ...` snapshot (including sharded containers) queries.
+  // `build --kind ...` snapshot (including older nested sharded ones)
+  // queries.
   auto predictor = LoadPredictorSnapshot(snapshot);
   if (!predictor.ok()) return predictor.status();
 
@@ -711,6 +699,9 @@ Status CmdNetServe(const FlagParser& flags, std::ostream& out) {
   if (snapshot.empty()) return Status::InvalidArgument("--snapshot is required");
   auto predictor = LoadPredictorSnapshot(snapshot);
   if (!predictor.ok()) return predictor.status();
+  // The service adopts the loaded predictor, the one copy of the state.
+  const std::string kind = (*predictor)->name();
+  const uint64_t edges = (*predictor)->edges_processed();
 
   const bool admin_enabled = flags.Has("admin-port");
 
@@ -742,7 +733,9 @@ Status CmdNetServe(const FlagParser& flags, std::ostream& out) {
                    .Metrics(registry)
                    .Slo(&slo)
                    .KeySampler(&key_sampler)
-                   .InitialSnapshot(**predictor, (*predictor)->edges_processed())
+                   .InitialSnapshot(std::shared_ptr<const LinkPredictor>(
+                                        std::move(*predictor)),
+                                    edges)
                    .Build();
   if (!built.ok()) return built.status();
   service = std::move(*built);
@@ -773,9 +766,8 @@ Status CmdNetServe(const FlagParser& flags, std::ostream& out) {
   net::NetServer server;
   if (auto st = server.Start(*service, options); !st.ok()) return st;
   const double duration = flags.GetDouble("duration", 0.0);
-  out << "serving " << (*predictor)->name() << " snapshot ("
-      << (*predictor)->edges_processed() << " edges) on " << options.host
-      << ":" << server.port()
+  out << "serving " << kind << " snapshot (" << edges << " edges) on "
+      << options.host << ":" << server.port()
       << (duration > 0 ? " for " + TablePrinter::FormatCell(duration) + "s"
                        : " until interrupted")
       << "\n";

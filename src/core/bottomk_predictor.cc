@@ -39,7 +39,7 @@ double BottomKPredictor::Degree(VertexId u) const {
 }
 
 OverlapEstimate BottomKPredictor::EstimateOverlapSharded(
-    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+    VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
     const DegreeFn& degree_of) const {
   SL_CHECK(SameOptions(v_home))
       << "cross-shard query between differently-configured predictors: "
@@ -47,11 +47,11 @@ OverlapEstimate BottomKPredictor::EstimateOverlapSharded(
   const auto* peer = static_cast<const BottomKPredictor*>(&v_home);
 
   OverlapEstimate est;
-  est.degree_u = degree_of(u);
-  est.degree_v = degree_of(v);
+  est.degree_u = OwnedDegree(u_row);
+  est.degree_v = peer->OwnedDegree(v_row);
 
-  const BottomKSketch* su = store_.Get(u);
-  const BottomKSketch* sv = peer->store_.Get(v);
+  const BottomKSketch* su = store_.Get(u_row);
+  const BottomKSketch* sv = peer->store_.Get(v_row);
   if (su == nullptr || sv == nullptr || su->IsEmpty() || sv->IsEmpty()) {
     est.union_size = est.degree_u + est.degree_v;
     return est;
@@ -123,17 +123,31 @@ namespace {
 constexpr uint32_t kBottomKPayloadVersion = 1;
 }  // namespace
 
-Status BottomKPredictor::SaveTo(BinaryWriter& writer) const {
+Status BottomKPredictor::SaveRows(BinaryWriter& writer,
+                                  const ShardRows& rows, uint64_t edges,
+                                  uint64_t /*deletes*/) const {
   WriteSnapshotHeader(writer, name(), kBottomKPayloadVersion);
   writer.WriteU32(options_.k);
   writer.WriteU64(options_.seed);
   writer.WriteU32(options_.track_exact_degrees ? 1 : 0);
-  writer.WriteU64(edges_processed());
-  writer.WriteVector(degrees_.raw());
-  writer.WriteU64(store_.num_vertices());
-  for (VertexId u = 0; u < store_.num_vertices(); ++u) {
-    writer.WriteVector(store_.Get(u)->entries());
+  writer.WriteU64(edges);
+  // KMV degrees keep no counter table.
+  if (options_.track_exact_degrees) {
+    writer.WriteU64(rows.num_vertices());
+    rows.ForEach<BottomKPredictor>(
+        [&writer](const BottomKPredictor& shard, VertexId row) {
+          writer.WriteU32(shard.degrees_.Degree(row));
+        });
+  } else {
+    writer.WriteU64(0);
   }
+  writer.WriteU64(rows.num_vertices());
+  const BottomKSketch empty(options_.k);
+  rows.ForEach<BottomKPredictor>(
+      [&](const BottomKPredictor& shard, VertexId row) {
+        const BottomKSketch* sketch = shard.store_.Get(row);
+        writer.WriteVector((sketch != nullptr ? *sketch : empty).entries());
+      });
   return writer.status();
 }
 

@@ -67,7 +67,7 @@ class BottomKPredictor : public HalfEdgePredictor {
     return SameKindAndOptions(*this, other);
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
       const DegreeFn& degree_of) const override;
 
   /// Disjoint-partition merge (see MinHashPredictor::MergeFrom): sketches
@@ -84,7 +84,8 @@ class BottomKPredictor : public HalfEdgePredictor {
   /// Streams the full predictor state under the universal snapshot
   /// envelope (kind "bottomk"); whole-file writes go through the inherited
   /// crash-safe Save(path).
-  Status SaveTo(BinaryWriter& writer) const override;
+  Status SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                  uint64_t edges, uint64_t deletes) const override;
 
   /// Payload decoder for an already-consumed envelope header; validates
   /// sketch sizes and the degree-table length against the vertex count.

@@ -9,7 +9,7 @@
 namespace streamlink {
 
 OverlapEstimate ExactPredictor::EstimateOverlapSharded(
-    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+    VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
     const DegreeFn& degree_of) const {
   SL_CHECK(SameOptions(v_home))
       << "cross-shard query between differently-configured predictors: "
@@ -17,8 +17,8 @@ OverlapEstimate ExactPredictor::EstimateOverlapSharded(
   const auto* peer = static_cast<const ExactPredictor*>(&v_home);
 
   OverlapEstimate est;
-  const uint32_t du = graph_.Degree(u);
-  const uint32_t dv = peer->graph_.Degree(v);
+  const uint32_t du = graph_.Degree(u_row);
+  const uint32_t dv = peer->graph_.Degree(v_row);
   est.degree_u = du;
   est.degree_v = dv;
 
@@ -28,8 +28,8 @@ OverlapEstimate ExactPredictor::EstimateOverlapSharded(
   if (du > 0 && dv > 0) {
     // As in ComputeOverlap: iterate the smaller set, probe the larger
     // (ties keep u's side as the iterated set, preserving its fold order).
-    const auto& nu = graph_.Neighbors(u);
-    const auto& nv = peer->graph_.Neighbors(v);
+    const auto& nu = graph_.Neighbors(u_row);
+    const auto& nv = peer->graph_.Neighbors(v_row);
     const auto& small = du > dv ? nv : nu;
     const auto& probe = du > dv ? nu : nv;
     for (VertexId w : small) {
@@ -55,19 +55,33 @@ namespace {
 constexpr uint32_t kExactPayloadVersion = 1;
 }  // namespace
 
-Status ExactPredictor::SaveTo(BinaryWriter& writer) const {
+Status ExactPredictor::SaveRows(BinaryWriter& writer,
+                                const ShardRows& rows, uint64_t edges,
+                                uint64_t /*deletes*/) const {
+  // Every edge is two arcs, one in each endpoint's row, whichever shard
+  // holds it; AddArc counts no whole edges, so count arcs.
+  uint64_t arcs = 0;
+  rows.ForEach<ExactPredictor>([&arcs](const ExactPredictor& shard,
+                                       VertexId row) {
+    arcs += shard.graph_.Degree(row);
+  });
   WriteSnapshotHeader(writer, name(), kExactPayloadVersion);
-  writer.WriteU64(edges_processed());
-  writer.WriteU64(graph_.num_edges());
-  writer.WriteU64(graph_.num_vertices());
+  writer.WriteU64(edges);
+  writer.WriteU64(arcs / 2);
+  writer.WriteU64(rows.num_vertices());
   std::vector<VertexId> neighbors;
-  for (VertexId u = 0; u < graph_.num_vertices(); ++u) {
-    neighbors.assign(graph_.Neighbors(u).begin(), graph_.Neighbors(u).end());
+  rows.ForEach<ExactPredictor>([&](const ExactPredictor& shard,
+                                   VertexId row) {
+    neighbors.clear();
+    if (row < shard.graph_.num_vertices()) {
+      const auto& set = shard.graph_.Neighbors(row);
+      neighbors.assign(set.begin(), set.end());
+    }
     // Hash-set iteration order is nondeterministic across processes;
     // sorting makes equal graphs serialize byte-identically.
     std::sort(neighbors.begin(), neighbors.end());
     writer.WriteVector(neighbors);
-  }
+  });
   return writer.status();
 }
 
@@ -85,16 +99,24 @@ Result<ExactPredictor> ExactPredictor::LoadFrom(BinaryReader& reader,
     return reader.status();
   }
 
+  // A graph names only its own vertices. The exception is a shard of the
+  // nested sharded envelope of older builds: it counts no edges (shards
+  // never did) and lists neighbors that other shards own, past its own
+  // rows. Its loader re-encodes all shards as one graph and decodes that
+  // here again, with the container's edge count, so the check still runs
+  // on the whole graph.
+  const bool shard = edges == 0;
   ExactPredictor predictor;
   predictor.graph_.EnsureVertices(static_cast<VertexId>(num_vertices));
   for (uint64_t u = 0; u < num_vertices && reader.ok(); ++u) {
     auto neighbors = reader.ReadVector<VertexId>();
     if (!reader.ok()) break;
     for (VertexId v : neighbors) {
-      if (v >= num_vertices) {
+      if ((v >= num_vertices && !shard) || v == u) {
         return Status::InvalidArgument(
             "corrupt snapshot: neighbor id " + std::to_string(v) +
-            " beyond vertex count " + std::to_string(num_vertices));
+            " of vertex " + std::to_string(u) + " beyond vertex count " +
+            std::to_string(num_vertices) + " or a self-loop");
       }
       predictor.graph_.AddArc(static_cast<VertexId>(u), v);
     }

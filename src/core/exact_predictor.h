@@ -42,7 +42,7 @@ class ExactPredictor : public HalfEdgePredictor {
     return dynamic_cast<const ExactPredictor*>(&other) != nullptr;
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
       const DegreeFn& degree_of) const override;
 
   /// Snapshot primitive: deep copy of the adjacency sets. O(E) time and
@@ -55,16 +55,17 @@ class ExactPredictor : public HalfEdgePredictor {
   /// Universal snapshot envelope, kind "exact". Neighbor sets are written
   /// sorted (hash-set iteration order is nondeterministic), so repeated
   /// saves of equal graphs are byte-identical. O(E log d) time.
-  Status SaveTo(BinaryWriter& writer) const override;
+  Status SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                  uint64_t edges, uint64_t deletes) const override;
 
   /// Payload decoder for an already-consumed envelope header.
   static Result<ExactPredictor> LoadFrom(BinaryReader& reader,
                                          uint32_t payload_version);
 
  protected:
-  // Whole edges keep AddEdge/RemoveEdge, which maintain the whole-edge
-  // count the snapshot stores; the half-edge kernels (AddArc/RemoveArc)
-  // do not, so a shard's count stays zero.
+  // Whole edges keep AddEdge/RemoveEdge, which maintain graph().
+  // num_edges(); the half-edge kernels (AddArc/RemoveArc) do not, so a
+  // shard's count stays zero and a snapshot counts arcs instead.
   void ProcessBatch(const EdgeBatch& batch) override {
     AddProcessedEdges(batch.size());
     for (const Edge& e : batch) graph_.AddEdge(e);

@@ -75,14 +75,15 @@ class LinkPredictor : public EdgeConsumer {
   /// time and never observe later ingestion. In-tree predictors override
   /// this with their copy constructor (all state is value-semantic); the
   /// base default returns nullptr, meaning "not snapshottable" — callers
-  /// must check. ShardedPredictor's override folds mergeable kinds into a
-  /// single compact predictor first (see its docs).
+  /// must check. ShardedPredictor's override copies every shard behind a
+  /// new routing view.
   virtual std::unique_ptr<LinkPredictor> Clone() const { return nullptr; }
 
   /// Serializes the predictor's full state into `writer` as a tagged
   /// snapshot envelope (kind string + payload version, see util/serde.h)
-  /// followed by the kind-specific payload. Container kinds
-  /// (ShardedPredictor) nest one complete envelope per shard. The base
+  /// followed by the kind-specific payload. A sharded build writes its
+  /// kind's envelope (HalfEdgePredictor::SaveRows); the tombstone
+  /// container nests its inner kind's envelope. The base
   /// default returns FailedPrecondition, meaning "not snapshottable" —
   /// every in-tree kind overrides it. Restore through
   /// LoadPredictorSnapshot / LoadPredictorFrom (core/predictor_factory.h).

@@ -14,7 +14,7 @@ MinHashPredictor::MinHashPredictor(const MinHashPredictorOptions& options)
 }
 
 OverlapEstimate MinHashPredictor::EstimateOverlapSharded(
-    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+    VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
     const DegreeFn& degree_of) const {
   SL_CHECK(SameOptions(v_home))
       << "cross-shard query between differently-configured predictors: "
@@ -22,12 +22,12 @@ OverlapEstimate MinHashPredictor::EstimateOverlapSharded(
   const auto* peer = static_cast<const MinHashPredictor*>(&v_home);
 
   OverlapEstimate est;
-  est.degree_u = degree_of(u);
-  est.degree_v = degree_of(v);
+  est.degree_u = OwnedDegree(u_row);
+  est.degree_v = peer->OwnedDegree(v_row);
   const double degree_sum = est.degree_u + est.degree_v;
 
-  const MinHashSketch* su = store_.Get(u);
-  const MinHashSketch* sv = peer->store_.Get(v);
+  const MinHashSketch* su = store_.Get(u_row);
+  const MinHashSketch* sv = peer->store_.Get(v_row);
   if (su == nullptr || sv == nullptr || su->IsEmpty() || sv->IsEmpty()) {
     // At least one endpoint is isolated: every overlap quantity is zero.
     est.union_size = degree_sum;
@@ -81,16 +81,25 @@ namespace {
 constexpr uint32_t kMinHashPayloadVersion = 1;
 }  // namespace
 
-Status MinHashPredictor::SaveTo(BinaryWriter& writer) const {
+Status MinHashPredictor::SaveRows(BinaryWriter& writer,
+                                  const ShardRows& rows, uint64_t edges,
+                                  uint64_t /*deletes*/) const {
   WriteSnapshotHeader(writer, name(), kMinHashPayloadVersion);
   writer.WriteU32(options_.num_hashes);
   writer.WriteU64(options_.seed);
-  writer.WriteU64(edges_processed());
-  writer.WriteVector(degrees_.raw());
-  writer.WriteU64(store_.num_vertices());
-  for (VertexId u = 0; u < store_.num_vertices(); ++u) {
-    writer.WriteVector(store_.Get(u)->slots());
-  }
+  writer.WriteU64(edges);
+  writer.WriteU64(rows.num_vertices());  // the degree table's length
+  rows.ForEach<MinHashPredictor>(
+      [&writer](const MinHashPredictor& shard, VertexId row) {
+        writer.WriteU32(shard.degrees_.Degree(row));
+      });
+  writer.WriteU64(rows.num_vertices());
+  const MinHashSketch empty(options_.num_hashes);
+  rows.ForEach<MinHashPredictor>(
+      [&](const MinHashPredictor& shard, VertexId row) {
+        const MinHashSketch* sketch = shard.store_.Get(row);
+        writer.WriteVector((sketch != nullptr ? *sketch : empty).slots());
+      });
   return writer.status();
 }
 

@@ -52,8 +52,7 @@ class MinHashPredictor : public HalfEdgePredictor {
   // Half-edge kernel (HalfEdgePredictor): MinHash slots take slot-wise
   // minima and degree counters add, both per endpoint, so the predictor
   // decomposes cleanly across vertex shards. ShardedPredictor queries are
-  // bit-identical to a sequential build; MergeFrom recombines shards
-  // losslessly for snapshotting/shipping. The k-permutation kernel
+  // bit-identical to a sequential build. The k-permutation kernel
   // re-hashes regardless (no single pre-hash can feed k slots), so no
   // NeighborHashSeed — HashFamily caches the seed mixing instead.
   void ObserveNeighborBatch(const EdgeBatch& batch) override {
@@ -67,7 +66,7 @@ class MinHashPredictor : public HalfEdgePredictor {
     return SameKindAndOptions(*this, other);
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
       const DegreeFn& degree_of) const override;
 
   /// Folds in a peer predictor built over a *disjoint partition* of the
@@ -88,7 +87,8 @@ class MinHashPredictor : public HalfEdgePredictor {
   /// Streams the full predictor state under the universal snapshot
   /// envelope (kind "minhash"). Whole-file writes go through the inherited
   /// Save(path), which wraps this in WriteFileAtomic + checksum footer.
-  Status SaveTo(BinaryWriter& writer) const override;
+  Status SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                  uint64_t edges, uint64_t deletes) const override;
 
   /// Payload decoder: reads the kind-specific payload that follows an
   /// already-consumed envelope header. Validates structural invariants

@@ -16,7 +16,7 @@ OphPredictor::OphPredictor(const OphPredictorOptions& options)
 }
 
 OverlapEstimate OphPredictor::EstimateOverlapSharded(
-    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+    VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
     const DegreeFn& degree_of) const {
   SL_CHECK(SameOptions(v_home))
       << "cross-shard query between differently-configured predictors: "
@@ -24,12 +24,12 @@ OverlapEstimate OphPredictor::EstimateOverlapSharded(
   const auto* peer = static_cast<const OphPredictor*>(&v_home);
 
   OverlapEstimate est;
-  est.degree_u = degree_of(u);
-  est.degree_v = degree_of(v);
+  est.degree_u = OwnedDegree(u_row);
+  est.degree_v = peer->OwnedDegree(v_row);
   const double degree_sum = est.degree_u + est.degree_v;
 
-  const OphSketch* su = store_.Get(u);
-  const OphSketch* sv = peer->store_.Get(v);
+  const OphSketch* su = store_.Get(u_row);
+  const OphSketch* sv = peer->store_.Get(v_row);
   if (su == nullptr || sv == nullptr || su->IsEmpty() || sv->IsEmpty()) {
     est.union_size = degree_sum;
     return est;
@@ -66,16 +66,23 @@ namespace {
 constexpr uint32_t kOphPayloadVersion = 1;
 }  // namespace
 
-Status OphPredictor::SaveTo(BinaryWriter& writer) const {
+Status OphPredictor::SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                              uint64_t edges, uint64_t /*deletes*/) const {
   WriteSnapshotHeader(writer, name(), kOphPayloadVersion);
   writer.WriteU32(options_.num_bins);
   writer.WriteU64(options_.seed);
-  writer.WriteU64(edges_processed());
-  writer.WriteVector(degrees_.raw());
-  writer.WriteU64(store_.num_vertices());
-  for (VertexId u = 0; u < store_.num_vertices(); ++u) {
-    writer.WriteVector(store_.Get(u)->bins());
-  }
+  writer.WriteU64(edges);
+  writer.WriteU64(rows.num_vertices());  // the degree table's length
+  rows.ForEach<OphPredictor>([&writer](const OphPredictor& shard,
+                                       VertexId row) {
+    writer.WriteU32(shard.degrees_.Degree(row));
+  });
+  writer.WriteU64(rows.num_vertices());
+  const OphSketch empty(options_.num_bins, options_.seed);
+  rows.ForEach<OphPredictor>([&](const OphPredictor& shard, VertexId row) {
+    const OphSketch* sketch = shard.store_.Get(row);
+    writer.WriteVector((sketch != nullptr ? *sketch : empty).bins());
+  });
   return writer.status();
 }
 

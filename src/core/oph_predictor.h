@@ -57,7 +57,7 @@ class OphPredictor : public HalfEdgePredictor {
     return SameKindAndOptions(*this, other);
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
       const DegreeFn& degree_of) const override;
 
   /// Snapshot primitive: deep copy via the copy constructor.
@@ -67,7 +67,8 @@ class OphPredictor : public HalfEdgePredictor {
 
   /// Universal snapshot envelope, kind "oph"; whole-file writes go through
   /// the inherited crash-safe Save(path).
-  Status SaveTo(BinaryWriter& writer) const override;
+  Status SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                  uint64_t edges, uint64_t deletes) const override;
 
   /// Payload decoder for an already-consumed envelope header.
   static Result<OphPredictor> LoadFrom(BinaryReader& reader,

@@ -84,7 +84,8 @@ Result<std::unique_ptr<LinkPredictor>> MakePredictor(
 // The restore side of LinkPredictor::SaveTo/Save: every snapshot opens
 // with the universal envelope (util/serde.h), whose kind string selects a
 // kind table row to decode the payload, or one of the two container
-// envelopes (tombstone, sharded), each of which may hold only a
+// envelopes (tombstone, and the nested sharded envelope older builds
+// wrote, which loads as a plain predictor), each of which may hold only a
 // registered kind. Sibling kinds that are not LinkPredictors
 // (weighted_icws, directed_minhash) have their own static Load and are
 // rejected with a pointer to it.

@@ -1,33 +1,11 @@
 #include "core/sharded_predictor.h"
 
-#include <algorithm>
-
-#include "core/bottomk_predictor.h"
-#include "core/minhash_predictor.h"
-#include "core/tcm_predictor.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
 namespace streamlink {
 
 namespace {
-
-/// Folds all shards of `sharded` into one predictor of type PredictorT.
-/// Shards partition the vertex set, so MergeFrom is lossless here even for
-/// state (like exact degree counters) that double-counts on overlapping
-/// partitions.
-template <typename PredictorT>
-std::unique_ptr<LinkPredictor> FoldShards(const ShardedPredictor& sharded) {
-  const auto& first =
-      dynamic_cast<const PredictorT&>(sharded.shard(0));
-  auto folded = std::make_unique<PredictorT>(first.options());
-  for (uint32_t t = 0; t < sharded.num_shards(); ++t) {
-    folded->MergeFrom(dynamic_cast<const PredictorT&>(sharded.shard(t)));
-  }
-  folded->AddProcessedEdges(sharded.edges_processed());
-  folded->AddProcessedDeletes(sharded.deletes_processed());
-  return folded;
-}
 
 /// Shards are made, loaded and cloned as LinkPredictors of a kind the
 /// kind table lists as shardable, which makes them HalfEdgePredictors.
@@ -38,18 +16,22 @@ std::unique_ptr<HalfEdgePredictor> AsShard(
   return std::unique_ptr<HalfEdgePredictor>(shard);
 }
 
+std::vector<const HalfEdgePredictor*> Pointers(
+    const std::vector<std::unique_ptr<HalfEdgePredictor>>& shards) {
+  std::vector<const HalfEdgePredictor*> pointers;
+  pointers.reserve(shards.size());
+  for (const auto& shard : shards) pointers.push_back(shard.get());
+  return pointers;
+}
+
 }  // namespace
 
 std::unique_ptr<LinkPredictor> ShardedPredictor::Clone() const {
-  if (kind_ == "minhash") return FoldShards<MinHashPredictor>(*this);
-  if (kind_ == "bottomk") return FoldShards<BottomKPredictor>(*this);
-  if (kind_ == "tcm") return FoldShards<TcmPredictor>(*this);
-  // No lossless fold for this kind: clone every shard and keep routing.
-  std::vector<std::unique_ptr<HalfEdgePredictor>> clones;
-  clones.reserve(shards_.size());
-  for (const auto& shard : shards_) clones.push_back(AsShard(shard->Clone()));
+  std::vector<std::unique_ptr<HalfEdgePredictor>> copies;
+  copies.reserve(shards_.size());
+  for (const auto& shard : shards_) copies.push_back(AsShard(shard->Clone()));
   auto copy = std::unique_ptr<ShardedPredictor>(
-      new ShardedPredictor(kind_, std::move(clones)));
+      new ShardedPredictor(kind_, std::move(copies)));
   copy->AddProcessedEdges(edges_processed());
   copy->AddProcessedDeletes(deletes_processed());
   return copy;
@@ -86,31 +68,33 @@ Result<std::unique_ptr<ShardedPredictor>> ShardedPredictor::Make(
 
 void ShardedPredictor::ProcessEdge(const Edge& edge) {
   for (const Edge& half : {edge, Edge(edge.v, edge.u)}) {
-    shards_[OwnerOf(half.u)]->ObserveNeighborBatch(EdgeBatch::Single(half));
+    const Edge owned(RowOf(half.u), half.v);
+    shards_[OwnerOf(half.u)]->ObserveNeighborBatch(EdgeBatch::Single(owned));
   }
 }
 
 void ShardedPredictor::ProcessDelete(const Edge& edge) {
   for (const Edge& half : {edge, Edge(edge.v, edge.u)}) {
-    shards_[OwnerOf(half.u)]->RetractNeighborBatch(EdgeBatch::Single(half));
+    const Edge owned(RowOf(half.u), half.v);
+    shards_[OwnerOf(half.u)]->RetractNeighborBatch(EdgeBatch::Single(owned));
   }
 }
 
 OverlapEstimate ShardedPredictor::EstimateOverlap(VertexId u,
                                                   VertexId v) const {
   DegreeFn degree_of = [this](VertexId w) -> double {
-    return shards_[OwnerOf(w)]->OwnedDegree(w);
+    return shards_[OwnerOf(w)]->OwnedDegree(RowOf(w));
   };
   return shards_[OwnerOf(u)]->EstimateOverlapSharded(
-      u, *shards_[OwnerOf(v)], v, degree_of);
+      RowOf(u), *shards_[OwnerOf(v)], RowOf(v), degree_of);
+}
+
+ShardRows ShardedPredictor::Rows() const {
+  return ShardRows(Pointers(shards_), /*global_rows=*/false);
 }
 
 VertexId ShardedPredictor::num_vertices() const {
-  VertexId max_vertices = 0;
-  for (const auto& shard : shards_) {
-    max_vertices = std::max(max_vertices, shard->num_vertices());
-  }
-  return max_vertices;
+  return Rows().num_vertices();
 }
 
 uint64_t ShardedPredictor::MemoryBytes() const {
@@ -120,24 +104,17 @@ uint64_t ShardedPredictor::MemoryBytes() const {
   return bytes;
 }
 
+Status ShardedPredictor::SaveTo(BinaryWriter& writer) const {
+  return shards_.front()->SaveRows(writer, Rows(), edges_processed(),
+                                   deletes_processed());
+}
+
 namespace {
-// v1: kind, edges, shard count, nested envelopes (pre-turnstile).
-// v2 adds the container's delete count after the edge count. v1 snapshots
-// are still accepted (their streams had no deletes).
+// Nested envelopes, v1: kind, edges, shard count, shard envelopes
+// (pre-turnstile). v2 adds the container's delete count after the edge
+// count. Both are read only.
 constexpr uint32_t kShardedPayloadVersion = 2;
 }  // namespace
-
-Status ShardedPredictor::SaveTo(BinaryWriter& writer) const {
-  WriteSnapshotHeader(writer, "sharded", kShardedPayloadVersion);
-  writer.WriteString(kind_);
-  writer.WriteU64(edges_processed());
-  writer.WriteU64(deletes_processed());
-  writer.WriteU32(num_shards());
-  for (const auto& shard : shards_) {
-    if (Status st = shard->SaveTo(writer); !st.ok()) return st;
-  }
-  return writer.status();
-}
 
 Result<std::unique_ptr<LinkPredictor>> ShardedPredictor::LoadFrom(
     BinaryReader& reader, uint32_t payload_version) {
@@ -183,13 +160,23 @@ Result<std::unique_ptr<LinkPredictor>> ShardedPredictor::LoadFrom(
                                      " is configured unlike shard 0");
     }
   }
-  auto predictor = std::unique_ptr<ShardedPredictor>(
-      new ShardedPredictor(std::move(kind), std::move(shards)));
-  // Shards count nothing (they ingest half-edges); the container holds the
-  // stream's edge and delete counts.
-  predictor->AddProcessedEdges(edges);
-  predictor->AddProcessedDeletes(deletes);
-  return std::unique_ptr<LinkPredictor>(std::move(predictor));
+  // The shards are global-indexed (vertex g at row g of shard g % N), and
+  // count nothing: the container holds the stream's edge and delete
+  // counts. Their kind's row writer re-encodes them as the sequential
+  // envelope, which its sequential loader decodes.
+  BinaryWriter writer;
+  if (Status st = shards.front()->SaveRows(
+          writer, ShardRows(Pointers(shards), /*global_rows=*/true), edges,
+          deletes);
+      !st.ok()) {
+    return st;
+  }
+  shards.clear();
+  const std::string bytes = writer.TakeBytes();
+  BinaryReader sequential(bytes);
+  Result<SnapshotHeader> header = ReadSnapshotHeader(sequential);
+  if (!header.ok()) return header.status();
+  return shard_kind->load(sequential, header->payload_version);
 }
 
 }  // namespace streamlink

@@ -11,23 +11,20 @@
 
 namespace streamlink {
 
-/// A vertex-partitioned link predictor: N same-configured shards of one
-/// shardable kind (a HalfEdgePredictor), where shard `u % N` owns vertex
-/// u's state.
+/// A vertex-partitioned link predictor: a routing view over N
+/// same-configured shards of one shardable kind (a HalfEdgePredictor).
+/// Shard `u % N` owns vertex u and stores its state at row `u / N`, so the
+/// N shards together hold one row per vertex, as a sequential build does.
 ///
 /// Every edge (u, v) becomes two half-edges — (u owns v) and (v owns u) —
-/// applied through the owning shards' half-edge batch kernels. Queries
-/// route to the two owning shards and resolve common-neighbor degrees
-/// through a routed DegreeFn; because each shard's EstimateOverlapSharded
-/// is the same code the sequential predictor runs, estimates are
-/// bit-identical to a sequential build of the same stream.
-///
-/// Memory is not that of a single predictor: each shard's per-vertex
-/// store is indexed by global vertex id, so every shard holds rows for all
-/// vertices, not for 1/N of them, and N shards hold about N times the
-/// per-vertex state. Clone() folds minhash, bottomk and tcm into one
-/// single predictor, a further copy. Row-owned shards ("Shard by row
-/// ownership" in ROADMAP.md) would remove both.
+/// applied through the owning shards' half-edge batch kernels at the
+/// owners' rows; neighbor ids stay global. Queries route to the two owning
+/// shards and resolve neighbor degrees through a routed DegreeFn; because
+/// each shard's EstimateOverlapSharded is the same code the sequential
+/// predictor runs, estimates are bit-identical to a sequential build of
+/// the same stream, and so is the snapshot: SaveTo runs the kind's one
+/// row writer (HalfEdgePredictor::SaveRows) over all N shards in global
+/// vertex order.
 ///
 /// Ingestion through the LinkPredictor interface (OnEdge/OnEdgeBatch)
 /// routes half-edges synchronously; ParallelIngestEngine ingests into the
@@ -54,6 +51,8 @@ class ShardedPredictor : public LinkPredictor {
   }
   /// The shard owning vertex u's state.
   uint32_t OwnerOf(VertexId u) const { return u % num_shards(); }
+  /// The row of vertex u in its owning shard.
+  VertexId RowOf(VertexId u) const { return u / num_shards(); }
 
   HalfEdgePredictor& shard(uint32_t i) { return *shards_[i]; }
   const HalfEdgePredictor& shard(uint32_t i) const { return *shards_[i]; }
@@ -61,23 +60,19 @@ class ShardedPredictor : public LinkPredictor {
   /// The underlying predictor kind, e.g. "minhash".
   const std::string& kind() const { return kind_; }
 
-  /// Snapshot primitive. Kinds with a lossless disjoint-partition merge
-  /// (minhash, bottomk, tcm) are *folded* into one single predictor —
-  /// vertex shards own disjoint vertex sets, so the merge is exact and the
-  /// snapshot sheds the routing layer. Other kinds clone shard-wise into a
-  /// new ShardedPredictor. Either way the clone answers queries
-  /// bit-identically to this predictor at clone time.
+  /// Snapshot primitive: copies every shard behind a new view, which
+  /// answers queries bit-identically to this predictor at clone time.
   std::unique_ptr<LinkPredictor> Clone() const override;
 
-  /// Universal snapshot envelope, kind "sharded": the underlying kind,
-  /// the container's edge count, and one complete nested envelope per
-  /// shard. The shard partition (vertex u -> shard u % N) is positional,
-  /// so restoring the shards in order reproduces the routing exactly.
+  /// The kind's own envelope, byte-identical to a sequential build's.
   Status SaveTo(BinaryWriter& writer) const override;
 
-  /// Payload decoder for an already-consumed envelope header. Each nested
-  /// shard envelope must name the container's kind, which the kind table
-  /// must list as shardable; its payload is decoded by that table row.
+  /// Decoder of the nested "sharded" envelope older builds wrote (read
+  /// only): the underlying kind, the container's edge count (v2 adds its
+  /// delete count), the shard count and one complete envelope per
+  /// global-indexed shard. Returns a plain predictor of the kind. Each
+  /// nested envelope must name the container's kind, which the kind table
+  /// must list as shardable, and be configured like shard 0.
   static Result<std::unique_ptr<LinkPredictor>> LoadFrom(
       BinaryReader& reader, uint32_t payload_version);
 
@@ -91,6 +86,9 @@ class ShardedPredictor : public LinkPredictor {
   ShardedPredictor(std::string kind,
                    std::vector<std::unique_ptr<HalfEdgePredictor>> shards)
       : kind_(std::move(kind)), shards_(std::move(shards)) {}
+
+  /// The shards as row-owned ShardRows.
+  ShardRows Rows() const;
 
   std::string kind_;
   std::vector<std::unique_ptr<HalfEdgePredictor>> shards_;

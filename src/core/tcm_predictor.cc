@@ -26,20 +26,20 @@ void TcmPredictor::GrowDegrees(VertexId u) {
 }
 
 OverlapEstimate TcmPredictor::EstimateOverlapSharded(
-    VertexId u, const HalfEdgePredictor& v_home, VertexId v,
-    const DegreeFn& degree_of) const {
+    VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
+    const DegreeFn& /*degree_of*/) const {
   SL_CHECK(SameOptions(v_home))
       << "cross-shard query between differently-configured predictors: "
       << name() << " vs " << v_home.name();
   const auto* peer = static_cast<const TcmPredictor*>(&v_home);
 
   OverlapEstimate est;
-  est.degree_u = degree_of(u);
-  est.degree_v = degree_of(v);
+  est.degree_u = OwnedDegree(u_row);
+  est.degree_v = peer->OwnedDegree(v_row);
   const double degree_sum = est.degree_u + est.degree_v;
 
-  const TcmSketch* su = store_.Get(u);
-  const TcmSketch* sv = peer->store_.Get(v);
+  const TcmSketch* su = store_.Get(u_row);
+  const TcmSketch* sv = peer->store_.Get(v_row);
   if (su == nullptr || sv == nullptr) {
     est.union_size = degree_sum;
     return est;
@@ -85,18 +85,27 @@ namespace {
 constexpr uint32_t kTcmPayloadVersion = 1;
 }  // namespace
 
-Status TcmPredictor::SaveTo(BinaryWriter& writer) const {
+Status TcmPredictor::SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                              uint64_t edges, uint64_t deletes) const {
   WriteSnapshotHeader(writer, name(), kTcmPayloadVersion);
   writer.WriteU32(options_.width);
   writer.WriteU32(options_.depth);
   writer.WriteU64(options_.seed);
-  writer.WriteU64(edges_processed());
-  writer.WriteU64(deletes_processed());
-  writer.WriteVector(degrees_);
-  writer.WriteU64(store_.num_vertices());
-  for (VertexId u = 0; u < store_.num_vertices(); ++u) {
-    writer.WriteVector(store_.Get(u)->cells());
-  }
+  writer.WriteU64(edges);
+  writer.WriteU64(deletes);
+  writer.WriteU64(rows.num_vertices());  // the degree table's length
+  rows.ForEach<TcmPredictor>([&writer](const TcmPredictor& shard,
+                                       VertexId row) {
+    // The signed net degree, unclamped: a snapshot keeps the exact sums.
+    writer.WriteU64(static_cast<uint64_t>(
+        row < shard.degrees_.size() ? shard.degrees_[row] : 0));
+  });
+  writer.WriteU64(rows.num_vertices());
+  const TcmSketch empty(options_.depth, options_.width);
+  rows.ForEach<TcmPredictor>([&](const TcmPredictor& shard, VertexId row) {
+    const TcmSketch* sketch = shard.store_.Get(row);
+    writer.WriteVector((sketch != nullptr ? *sketch : empty).cells());
+  });
   return writer.status();
 }
 

@@ -73,7 +73,7 @@ class TcmPredictor : public HalfEdgePredictor {
     return SameKindAndOptions(*this, other);
   }
   OverlapEstimate EstimateOverlapSharded(
-      VertexId u, const HalfEdgePredictor& v_home, VertexId v,
+      VertexId u_row, const HalfEdgePredictor& v_home, VertexId v_row,
       const DegreeFn& degree_of) const override;
 
   /// Disjoint-partition fold: cells and degrees add, insert and delete
@@ -87,7 +87,8 @@ class TcmPredictor : public HalfEdgePredictor {
   /// Snapshot envelope kind "tcm"; payload carries both stream counters
   /// (edges and deletes), the signed degree table, and per-vertex cell
   /// strips.
-  Status SaveTo(BinaryWriter& writer) const override;
+  Status SaveRows(BinaryWriter& writer, const ShardRows& rows,
+                  uint64_t edges, uint64_t deletes) const override;
   static Result<TcmPredictor> LoadFrom(BinaryReader& reader,
                                        uint32_t payload_version);
 

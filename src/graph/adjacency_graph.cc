@@ -23,7 +23,6 @@ bool AdjacencyGraph::AddEdge(VertexId u, VertexId v) {
 }
 
 bool AdjacencyGraph::AddArc(VertexId u, VertexId v) {
-  if (u == v) return false;
   EnsureVertices(u + 1);
   return adjacency_[u].insert(v).second;
 }

@@ -31,8 +31,10 @@ class AdjacencyGraph {
   /// Inserts only the half-edge u→v: v joins N(u) and the vertex set grows
   /// to include u, but N(v) is untouched. The building block of
   /// vertex-sharded ingestion, where each shard applies just the halves of
-  /// edges it owns; num_edges() counts whole AddEdge insertions only.
-  /// Returns true if v was new in N(u); false for duplicates/self-loops.
+  /// edges it owns, at u's row there — a row, not a vertex id, so u == v
+  /// is no self-loop: callers drop self-loops as whole edges.
+  /// num_edges() counts whole AddEdge insertions only. Returns true if v
+  /// was new in N(u); false for duplicates.
   bool AddArc(VertexId u, VertexId v);
 
   /// Removes undirected edge {u, v}. Returns true if it was present.

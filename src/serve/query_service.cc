@@ -74,10 +74,17 @@ Status QueryService::Publish(const LinkPredictor& live,
     return Status::FailedPrecondition("predictor kind '" + live.name() +
                                       "' does not support Clone()");
   }
+  Publish(std::shared_ptr<const LinkPredictor>(std::move(clone)),
+          stream_edges);
+  return Status::Ok();
+}
+
+void QueryService::Publish(std::shared_ptr<const LinkPredictor> predictor,
+                           uint64_t stream_edges) {
   auto snapshot = std::make_shared<ServeSnapshot>();
-  snapshot->edges_processed = clone->edges_processed();
-  snapshot->deletes_processed = clone->deletes_processed();
-  snapshot->predictor = std::shared_ptr<const LinkPredictor>(std::move(clone));
+  snapshot->edges_processed = predictor->edges_processed();
+  snapshot->deletes_processed = predictor->deletes_processed();
+  snapshot->predictor = std::move(predictor);
   snapshot->stream_edges = stream_edges;
   snapshot->version = publish_count_.load(std::memory_order_relaxed) + 1;
   // The live frontier can only be at or past the publish point.
@@ -87,14 +94,13 @@ Status QueryService::Publish(const LinkPredictor& live,
   const uint64_t version = snapshot->version;
   publish_count_.store(version, std::memory_order_relaxed);
   // Release: a reader that acquires this pointer sees the fully built
-  // clone and metadata.
+  // predictor and metadata.
   snapshot_.store(std::move(snapshot), std::memory_order_release);
   last_publish_seconds_.store(MonotonicSeconds(), std::memory_order_relaxed);
   if (metrics_.publishes != nullptr) metrics_.publishes->Add(1);
   if (metrics_.version != nullptr) {
     metrics_.version->Set(static_cast<double>(version));
   }
-  return Status::Ok();
 }
 
 void QueryService::BindMetrics(obs::MetricsRegistry* registry) {
@@ -192,7 +198,9 @@ Result<std::unique_ptr<QueryService>> QueryServiceBuilder::Build() const {
   if (warm_start_) {
     if (Status st = warm_start_(*service); !st.ok()) return st;
   }
-  if (initial_predictor_ != nullptr) {
+  if (initial_owned_ != nullptr) {
+    service->Publish(initial_owned_, initial_stream_edges_);
+  } else if (initial_predictor_ != nullptr) {
     if (Status st =
             service->Publish(*initial_predictor_, initial_stream_edges_);
         !st.ok()) {

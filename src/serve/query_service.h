@@ -160,6 +160,11 @@ class QueryService {
   /// FailedPrecondition if the predictor does not support Clone().
   Status Publish(const LinkPredictor& live, uint64_t stream_edges);
 
+  /// Publishes `predictor` itself as the new snapshot, with no clone: for
+  /// a predictor nobody writes any more, such as one loaded from a file.
+  void Publish(std::shared_ptr<const LinkPredictor> predictor,
+               uint64_t stream_edges);
+
   /// Advances the live stream position without publishing (keeps reader
   /// staleness metadata fresh between snapshots). Normally fed by
   /// WrapStream; cheap enough to call per edge.
@@ -339,6 +344,16 @@ class QueryServiceBuilder {
   QueryServiceBuilder& InitialSnapshot(const LinkPredictor& predictor,
                                        uint64_t stream_edges) {
     initial_predictor_ = &predictor;
+    initial_owned_.reset();
+    initial_stream_edges_ = stream_edges;
+    return *this;
+  }
+  /// The same, publishing `predictor` itself instead of a clone, so a
+  /// server holds one copy of a loaded snapshot, not two.
+  QueryServiceBuilder& InitialSnapshot(
+      std::shared_ptr<const LinkPredictor> predictor, uint64_t stream_edges) {
+    initial_predictor_ = nullptr;
+    initial_owned_ = std::move(predictor);
     initial_stream_edges_ = stream_edges;
     return *this;
   }
@@ -377,7 +392,8 @@ class QueryServiceBuilder {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SloTracker* slo_ = nullptr;
   obs::KeyFrequencyTopK* key_sampler_ = nullptr;
-  const LinkPredictor* initial_predictor_ = nullptr;
+  const LinkPredictor* initial_predictor_ = nullptr;  // published cloned
+  std::shared_ptr<const LinkPredictor> initial_owned_;  // published as is
   uint64_t initial_stream_edges_ = 0;
   std::function<Status(QueryService&)> warm_start_;
 };

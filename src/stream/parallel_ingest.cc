@@ -373,15 +373,17 @@ class ShardSink final : public Sink {
   }
 
  private:
-  /// Appends the half-edge "u gained (or lost) neighbor" to u's owner.
+  /// Appends the half-edge "u gained (or lost) neighbor" to u's owner, at
+  /// u's row there; the neighbor (and its hash) stays global.
   void Route(VertexId u, VertexId neighbor, EdgeOp op) {
     const uint32_t owner = sharded_.OwnerOf(u);
+    const VertexId row = sharded_.RowOf(u);
     EdgeBatchBuffer& batch = pending_[owner];
     if (pre_hash_) {
-      batch.AppendHalfEdge(u, neighbor,
+      batch.AppendHalfEdge(row, neighbor,
                            HashU64WithMixedSeed(neighbor, mixed_seed_), op);
     } else {
-      batch.Append(Edge(u, neighbor), op);
+      batch.Append(Edge(row, neighbor), op);
     }
     if (batch.size() >= batch_edges_) Push(owner);
   }

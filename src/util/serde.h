@@ -187,8 +187,9 @@ class BinaryReader {
 //
 // followed by the kind-specific payload and (for whole files) the
 // checksum footer. The kind string is what LoadPredictorFrom dispatches
-// on; container kinds (ShardedPredictor) nest complete envelopes per
-// shard inside their payload.
+// on; container kinds (the tombstone window, and the read-only nested
+// "sharded" envelope of older builds) nest complete envelopes inside
+// their payload.
 
 inline constexpr uint32_t kSnapshotMagic = 0x534c534e;  // "SLSN"
 inline constexpr uint32_t kSnapshotEnvelopeVersion = 1;

@@ -73,8 +73,8 @@ Status CheckShardCountInvariance(const InvariantContext& context);
 
 /// The ordered parallel engine's free parameters — thread count × batch
 /// size × ring capacity — never change a single output bit relative to a
-/// sequential build; where the sharded clone folds into one plain
-/// predictor, its snapshot is also byte-identical. Skips unshardable kinds.
+/// sequential build, and a 3-thread build's snapshot is byte-identical to
+/// the sequential one. Skips unshardable kinds.
 Status CheckOrderedIngestInvariance(const InvariantContext& context);
 
 /// Delivering the stream via OnEdge one at a time and via OnEdgeBatch at

@@ -173,6 +173,34 @@ TEST_F(CliTest, BuildAndQueryCoverEveryPredictorKind) {
   }
 }
 
+// Every shardable kind writes the same snapshot at any thread count.
+TEST_F(CliTest, BuildIsByteIdenticalAcrossThreadCounts) {
+  ASSERT_TRUE(Run({"generate", "--workload=ba", "--scale=0.02",
+                   "--out=" + edges_path_})
+                  .ok());
+  const std::string threaded = snapshot_path_ + ".threads3";
+  auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const char* kind : {"minhash", "bottomk", "tcm", "oph", "exact"}) {
+    for (const auto& [threads, path] :
+         {std::pair<std::string, std::string>{"1", snapshot_path_},
+          std::pair<std::string, std::string>{"3", threaded}}) {
+      Status build = Run({"build", "--input=" + edges_path_, "--k=16",
+                          std::string("--kind=") + kind,
+                          "--threads=" + threads, "--snapshot=" + path});
+      ASSERT_TRUE(build.ok()) << kind << ": " << build.ToString();
+    }
+    const std::string sequential = read_bytes(snapshot_path_);
+    ASSERT_FALSE(sequential.empty()) << kind;
+    EXPECT_TRUE(sequential == read_bytes(threaded))
+        << kind << ": the --threads 3 snapshot differs from --threads 1";
+  }
+  std::remove(threaded.c_str());
+}
+
 TEST_F(CliTest, BuildCheckpointFlagsRequireDir) {
   ASSERT_TRUE(Run({"generate", "--workload=ba", "--scale=0.02",
                    "--out=" + edges_path_})

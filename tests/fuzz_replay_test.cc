@@ -47,20 +47,19 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// A valid snapshot of every verification kind plus a sharded container —
-/// the seed inputs the mutation engine works from.
-std::vector<std::string> ValidSnapshotSeeds() {
-  std::vector<PredictorConfig> configs = VerificationKindConfigs();
-  PredictorConfig sharded;
-  sharded.kind = "minhash";
-  sharded.sketch_size = 8;
-  sharded.seed = 7;
-  sharded.threads = 2;
-  configs.push_back(sharded);
+/// The nested sharded envelope of an older build, which loads but which
+/// no build writes any more.
+const char kLegacyShardedSeed[] = "seed_7";
 
+/// A valid snapshot of every verification kind plus the corpus's nested
+/// sharded envelope — the seed inputs the mutation engine works from.
+std::vector<std::string> ValidSnapshotSeeds() {
   GeneratedGraph g = MakeWorkload(WorkloadSpec{"ba", 0.01, 151});
-  std::vector<std::string> seeds;
-  for (const PredictorConfig& config : configs) {
+  std::vector<std::string> seeds = {
+      ReadFileBytes(std::string(STREAMLINK_FUZZ_CORPUS_DIR) +
+                    "/snapshot_loader/" + kLegacyShardedSeed)};
+  SL_CHECK(!seeds.front().empty()) << "corpus seed " << kLegacyShardedSeed;
+  for (const PredictorConfig& config : VerificationKindConfigs()) {
     auto predictor = MakePredictor(config);
     SL_CHECK(predictor.ok()) << predictor.status().ToString();
     FeedStream(**predictor, g.edges);
@@ -106,8 +105,8 @@ TEST(FuzzReplay, CheckedInCorpusReplaysClean) {
 TEST(FuzzReplay, SnapshotCorpusReSavesToItsOwnBytes) {
   const std::string dir =
       std::string(STREAMLINK_FUZZ_CORPUS_DIR) + "/snapshot_loader";
-  // seed_7 is a payload-v1 sharded envelope, which re-saves as v2.
-  const std::string older_format = "seed_7";
+  // The nested sharded envelope re-saves as its kind's own envelope.
+  const std::string older_format = kLegacyShardedSeed;
   const std::string resaved = ::testing::TempDir() + "/corpus_resave_" +
                               std::to_string(::getpid()) + ".snap";
   size_t checked = 0;

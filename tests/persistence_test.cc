@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/directed_predictor.h"
+#include "core/half_edge_predictor.h"
 #include "core/minhash_predictor.h"
 #include "core/predictor_factory.h"
 #include "core/sharded_predictor.h"
@@ -56,6 +58,40 @@ void ExpectSameEstimates(const LinkPredictor& a, const LinkPredictor& b,
   }
 }
 
+/// The nested "sharded" envelope older builds wrote (payload v1 or v2):
+/// the container's counts, then `num_shards` global-indexed shards of the
+/// kind of `config` (threads = 1), each a complete envelope, where shard t
+/// holds every vertex u with u % num_shards == t at row u.
+Status WriteLegacyShardedEnvelope(BinaryWriter& w,
+                                  const PredictorConfig& config,
+                                  const EdgeList& edges, uint32_t num_shards,
+                                  uint32_t version) {
+  std::vector<std::unique_ptr<LinkPredictor>> shards;
+  for (uint32_t t = 0; t < num_shards; ++t) {
+    auto shard = MakePredictor(config);
+    if (!shard.ok()) return shard.status();
+    shards.push_back(std::move(*shard));
+  }
+  uint64_t inserts = 0;
+  for (const Edge& e : edges) {
+    if (e.IsSelfLoop()) continue;
+    ++inserts;
+    for (const Edge& half : {e, Edge(e.v, e.u)}) {
+      dynamic_cast<HalfEdgePredictor&>(*shards[half.u % num_shards])
+          .ObserveNeighborBatch(EdgeBatch::Single(half));
+    }
+  }
+  WriteSnapshotHeader(w, "sharded", version);
+  w.WriteString(config.kind);
+  w.WriteU64(inserts);
+  if (version >= 2) w.WriteU64(0);  // deletes
+  w.WriteU32(num_shards);
+  for (const auto& shard : shards) {
+    if (Status st = shard->SaveTo(w); !st.ok()) return st;
+  }
+  return w.status();
+}
+
 struct KindCase {
   std::string label;
   PredictorConfig config;
@@ -92,6 +128,8 @@ std::vector<KindCase> AllKindCases() {
       [](PredictorConfig& c) { c.threads = 3; });
   add("sharded_bottomk", "bottomk",
       [](PredictorConfig& c) { c.threads = 3; });
+  add("sharded_oph", "oph", [](PredictorConfig& c) { c.threads = 3; });
+  add("sharded_exact", "exact", [](PredictorConfig& c) { c.threads = 3; });
   return cases;
 }
 
@@ -141,7 +179,9 @@ TEST_P(PersistenceKindTest, SaveLoadSaveIsByteIdentical) {
 
   auto loaded = LoadPredictorSnapshot(path_a_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->name(), original->name());
+  // A sharded build saves its kind's sequential envelope, which loads as
+  // a plain predictor of the kind.
+  EXPECT_EQ((*loaded)->name(), GetParam().config.kind);
   EXPECT_EQ((*loaded)->edges_processed(), original->edges_processed());
   EXPECT_EQ((*loaded)->num_vertices(), original->num_vertices());
   ExpectSameEstimates(*original, **loaded, num_vertices_);
@@ -292,17 +332,10 @@ TEST_F(InvalidSnapshotTest, DegreeTableMismatchIsRejected) {
 // delete: neither a deletable kind nor a container envelope, so a chain
 // of nested envelopes is rejected at its second header, not recursed.
 TEST_F(InvalidSnapshotTest, TombstoneAroundNonInsertOnlyKindIsRejected) {
-  PredictorConfig tcm;
-  tcm.kind = "tcm";
-  PredictorConfig sharded_minhash;
-  sharded_minhash.threads = 2;
-  PredictorConfig tombstone_minhash;
-  tombstone_minhash.tombstone_window = 4;
-  for (const PredictorConfig& config :
-       {tcm, sharded_minhash, tombstone_minhash}) {
-    auto inner = MakePredictor(config);
-    ASSERT_TRUE(inner.ok());
-    FeedStream(**inner, {{0, 1}, {1, 2}});
+  const EdgeList edges = {{0, 1}, {1, 2}};
+  auto expect_rejected = [&](const std::string& label,
+                             const std::function<Status(BinaryWriter&)>&
+                                 write_inner) {
     Status st = WriteFileAtomic(path_, [&](BinaryWriter& w) {
       WriteSnapshotHeader(w, "tombstone", 1);
       w.WriteU32(4);              // window
@@ -310,13 +343,50 @@ TEST_F(InvalidSnapshotTest, TombstoneAroundNonInsertOnlyKindIsRejected) {
       w.WriteU64(2);              // edges
       w.WriteU64(0);              // deletes
       w.WriteVector(EdgeList{});  // pending inserts
-      return (*inner)->SaveTo(w);
+      return write_inner(w);
+    });
+    ASSERT_TRUE(st.ok()) << label;
+    auto loaded = LoadPredictorSnapshot(path_);
+    ASSERT_FALSE(loaded.ok()) << label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << label << ": " << loaded.status().ToString();
+  };
+  PredictorConfig tcm;
+  tcm.kind = "tcm";
+  PredictorConfig tombstone_minhash;
+  tombstone_minhash.tombstone_window = 4;
+  for (const PredictorConfig& config : {tcm, tombstone_minhash}) {
+    auto inner = MakePredictor(config);
+    ASSERT_TRUE(inner.ok());
+    FeedStream(**inner, edges);
+    expect_rejected((*inner)->name(),
+                    [&](BinaryWriter& w) { return (*inner)->SaveTo(w); });
+  }
+  expect_rejected("nested sharded", [&](BinaryWriter& w) {
+    return WriteLegacyShardedEnvelope(w, PredictorConfig{}, edges,
+                                      /*num_shards=*/2, /*version=*/2);
+  });
+}
+
+// An exact graph names only its own vertices and holds no self-loops.
+// (Only a shard of the nested sharded envelope, which counts no edges,
+// may list neighbors past its own rows.)
+TEST_F(InvalidSnapshotTest, ExactNeighborsOutsideTheGraphAreRejected) {
+  for (const std::vector<VertexId>& neighbors_of_0 :
+       {std::vector<VertexId>{5}, std::vector<VertexId>{0}}) {
+    Status st = WriteFileAtomic(path_, [&](BinaryWriter& w) {
+      WriteSnapshotHeader(w, "exact", 1);
+      w.WriteU64(1);  // edges
+      w.WriteU64(1);  // num_edges
+      w.WriteU64(2);  // vertices
+      w.WriteVector(neighbors_of_0);
+      w.WriteVector(std::vector<VertexId>{});
+      return w.status();
     });
     ASSERT_TRUE(st.ok());
     auto loaded = LoadPredictorSnapshot(path_);
-    ASSERT_FALSE(loaded.ok()) << (*inner)->name();
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << loaded.status().ToString();
+    ASSERT_FALSE(loaded.ok()) << "neighbor " << neighbors_of_0[0];
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -414,6 +484,61 @@ TEST_F(InvalidSnapshotTest, SiblingKindsPointAtTheirOwnLoader) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("WeightedJaccardPredictor::Load"),
             std::string::npos);
+}
+
+// --- Nested sharded envelopes of older builds (read only) ---
+
+class LegacyShardedSnapshotTest : public CorruptionTest {};
+
+// v1 and v2 files load as the plain kind, answer as the sequential build
+// of the same stream does, and re-save as its snapshot, byte for byte.
+TEST_F(LegacyShardedSnapshotTest, LoadsAsTheSequentialBuild) {
+  GeneratedGraph g = MakeWorkload(WorkloadSpec{"ba", 0.03, 101});
+  for (const char* kind : {"minhash", "oph", "exact"}) {
+    PredictorConfig config;
+    config.kind = kind;
+    config.sketch_size = 16;
+    config.seed = 7;
+    auto sequential = MakePredictor(config);
+    ASSERT_TRUE(sequential.ok());
+    FeedStream(**sequential, g.edges);
+    ASSERT_TRUE((*sequential)->Save(mangled_).ok());
+    const std::string want = ReadFileBytes(mangled_);
+    for (uint32_t version : {1u, 2u}) {
+      const std::string label = std::string(kind) + " v" +
+                                std::to_string(version);
+      ASSERT_TRUE(WriteFileAtomic(path_, [&](BinaryWriter& w) {
+                    return WriteLegacyShardedEnvelope(w, config, g.edges,
+                                                      /*num_shards=*/3,
+                                                      version);
+                  }).ok());
+      auto loaded = LoadPredictorSnapshot(path_);
+      ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
+      EXPECT_EQ((*loaded)->name(), kind) << label;
+      EXPECT_EQ((*loaded)->edges_processed(),
+                (*sequential)->edges_processed())
+          << label;
+      EXPECT_EQ((*loaded)->num_vertices(), (*sequential)->num_vertices())
+          << label;
+      ExpectSameEstimates(**sequential, **loaded, g.num_vertices);
+      ASSERT_TRUE((*loaded)->Save(mangled_).ok()) << label;
+      EXPECT_TRUE(ReadFileBytes(mangled_) == want)
+          << label << " re-saves to other bytes than the sequential build";
+    }
+  }
+}
+
+TEST_F(LegacyShardedSnapshotTest, DetectsAllDamage) {
+  PredictorConfig config;
+  config.kind = "minhash";
+  config.sketch_size = 4;
+  config.seed = 9;
+  ASSERT_TRUE(WriteFileAtomic(path_, [&](BinaryWriter& w) {
+                return WriteLegacyShardedEnvelope(
+                    w, config, {{0, 1}, {0, 2}, {1, 2}, {2, 3}},
+                    /*num_shards=*/2, /*version=*/2);
+              }).ok());
+  ExpectAllDamageDetected(ReadFileBytes(path_));
 }
 
 // --- Sibling kinds (not LinkPredictors): weighted and directed ---

@@ -16,6 +16,7 @@
 #include "stream/parallel_ingest.h"
 #include "stream/stream_driver.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace streamlink {
 namespace {
@@ -292,6 +293,25 @@ TEST(QueryService, PublishRejectsNonCloneablePredictor) {
   EXPECT_EQ(service.publish_count(), 0u);
 }
 
+// An owned initial snapshot is published as is: the service serves the
+// very predictor it was handed, with no second copy.
+TEST(QueryService, BuilderPublishesAnOwnedInitialSnapshotWithoutCloning) {
+  auto predictor = std::make_shared<MinHashPredictor>(
+      MinHashPredictorOptions{8, 3});
+  FeedStream(*predictor, MakeStream(/*seed=*/53, /*num_edges=*/50));
+  const LinkPredictor* handed = predictor.get();
+  auto built = QueryServiceBuilder()
+                   .InitialSnapshot(std::move(predictor), /*stream_edges=*/50)
+                   .Build();
+  ASSERT_TRUE(built.ok());
+  auto snap = (*built)->snapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->predictor.get(), handed);
+  EXPECT_EQ(snap->stream_edges, 50u);
+  EXPECT_EQ(snap->edges_processed, handed->edges_processed());
+  EXPECT_EQ((*built)->publish_count(), 1u);
+}
+
 TEST(QueryService, StalenessTracksLiveFrontier) {
   const EdgeList edges = MakeStream(/*seed=*/47, /*num_edges=*/100);
   MinHashPredictorOptions options;
@@ -354,10 +374,14 @@ TEST(QueryService, SnapshotsAreImmuneToLaterIngestion) {
   }
 }
 
-TEST(QueryService, ShardedPublishFoldsMergeableKindsToSinglePredictor) {
+// A publish copies each shard behind a new routing view: no fold into a
+// single predictor, no second copy of the state, and the same answers and
+// snapshot bytes as the live build.
+TEST(QueryService, ShardedPublishCopiesShardsBehindAView) {
   const EdgeList edges = MakeStream(/*seed=*/59, /*num_edges=*/700);
   for (const std::string& kind : {std::string("minhash"),
-                                  std::string("bottomk")}) {
+                                  std::string("bottomk"), std::string("oph"),
+                                  std::string("tcm"), std::string("exact")}) {
     PredictorConfig config;
     config.kind = kind;
     config.sketch_size = 32;
@@ -372,16 +396,22 @@ TEST(QueryService, ShardedPublishFoldsMergeableKindsToSinglePredictor) {
     ASSERT_TRUE(service.Publish(**sharded, edges.size()).ok()) << kind;
     auto snap = service.snapshot();
     ASSERT_NE(snap, nullptr);
-    // The clone folded the shards: a plain single-kind predictor, not a
-    // sharded wrapper, with the full edge tally carried over.
-    EXPECT_EQ(snap->predictor->name(), kind);
+    EXPECT_EQ(snap->predictor->name(), "sharded:" + kind);
     EXPECT_EQ(snap->predictor->edges_processed(),
               (*sharded)->edges_processed())
+        << kind;
+    // A copy sheds the live stores' growth slack, never adds state.
+    EXPECT_LE(snap->predictor->MemoryBytes(), (*sharded)->MemoryBytes())
         << kind;
     for (const QueryPair& p : FixedPairs()) {
       ExpectEstimatesEqual((*sharded)->EstimateOverlap(p.u, p.v),
                            snap->predictor->EstimateOverlap(p.u, p.v), p);
     }
+    BinaryWriter live_bytes, published_bytes;
+    ASSERT_TRUE((*sharded)->SaveTo(live_bytes).ok()) << kind;
+    ASSERT_TRUE(snap->predictor->SaveTo(published_bytes).ok()) << kind;
+    EXPECT_TRUE(live_bytes.TakeBytes() == published_bytes.TakeBytes())
+        << kind;
   }
 }
 

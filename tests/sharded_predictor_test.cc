@@ -44,7 +44,7 @@ void ExpectIdentical(const OverlapEstimate& a, const OverlapEstimate& b,
 
 std::vector<PredictorConfig> ShardableConfigs() {
   std::vector<PredictorConfig> configs;
-  for (const char* kind : {"minhash", "bottomk", "oph", "exact"}) {
+  for (const char* kind : {"minhash", "bottomk", "oph", "tcm", "exact"}) {
     PredictorConfig config;
     config.kind = kind;
     config.sketch_size = 32;
@@ -142,22 +142,62 @@ TEST(ShardedPredictor, ExposesShardsAndOwnership) {
   EXPECT_EQ((*sharded)->num_shards(), 3u);
   for (VertexId u = 0; u < 9; ++u) {
     EXPECT_EQ((*sharded)->OwnerOf(u), u % 3);
+    EXPECT_EQ((*sharded)->RowOf(u), u / 3);
   }
   EXPECT_EQ((*sharded)->shard(0).name(), "oph");
 }
 
+// Shards hold one row per owned vertex, so N shards together hold about
+// what one sequential predictor holds, not N times it.
 TEST(ShardedPredictor, MemoryIsAccountedAcrossShards) {
-  PredictorConfig config;
-  config.kind = "minhash";
-  config.threads = 2;
-  auto sharded = MakePredictor(config);
-  ASSERT_TRUE(sharded.ok());
-  FeedStream(**sharded, MakeStream(/*seed=*/5, /*num_edges=*/100));
-  uint64_t total = (*sharded)->MemoryBytes();
-  auto* as_sharded = dynamic_cast<ShardedPredictor*>(sharded->get());
-  ASSERT_NE(as_sharded, nullptr);
-  EXPECT_GE(total, as_sharded->shard(0).MemoryBytes() +
-                       as_sharded->shard(1).MemoryBytes());
+  const EdgeList edges = MakeStream(/*seed=*/5, /*num_edges=*/600);
+  for (const PredictorConfig& base : ShardableConfigs()) {
+    auto sequential = MakePredictor(base);
+    ASSERT_TRUE(sequential.ok());
+    FeedStream(**sequential, edges);
+
+    PredictorConfig parallel = base;
+    parallel.threads = 3;
+    auto sharded = MakePredictor(parallel);
+    ASSERT_TRUE(sharded.ok());
+    FeedStream(**sharded, edges);
+    const uint64_t total = (*sharded)->MemoryBytes();
+    auto* as_sharded = dynamic_cast<ShardedPredictor*>(sharded->get());
+    ASSERT_NE(as_sharded, nullptr);
+    uint64_t shards = 0;
+    for (uint32_t t = 0; t < as_sharded->num_shards(); ++t) {
+      shards += as_sharded->shard(t).MemoryBytes();
+    }
+    EXPECT_GE(total, shards) << base.kind;
+    EXPECT_LE(total, 1.2 * (*sequential)->MemoryBytes())
+        << base.kind << (base.sketch_degrees ? "+kmv" : "");
+  }
+}
+
+// Of 4 shards, shard 0 holds 1 row, shard 1 holds 3 (vertex 9, the
+// highest id, is its row 2) and shards 2 and 3 hold 2 each: the view
+// counts 10 vertices, as the sequential build does, neither the 3 rows of
+// the widest shard nor 4 × 3 row slots.
+TEST(ShardedPredictor, NumVerticesFollowsTheHighestIdOnAnyShard) {
+  const EdgeList edges = {{0, 9}, {5, 7}, {2, 6}, {1, 3}};
+  for (const PredictorConfig& base : ShardableConfigs()) {
+    auto sequential = MakePredictor(base);
+    ASSERT_TRUE(sequential.ok());
+    FeedStream(**sequential, edges);
+
+    PredictorConfig parallel = base;
+    parallel.threads = 4;
+    auto sharded = MakePredictor(parallel);
+    ASSERT_TRUE(sharded.ok());
+    FeedStream(**sharded, edges);
+    auto* as_sharded = dynamic_cast<ShardedPredictor*>(sharded->get());
+    ASSERT_NE(as_sharded, nullptr);
+    EXPECT_EQ(as_sharded->shard(0).num_vertices(), 1u) << base.kind;
+    EXPECT_EQ(as_sharded->shard(1).num_vertices(), 3u) << base.kind;
+    EXPECT_EQ(as_sharded->shard(3).num_vertices(), 2u) << base.kind;
+    EXPECT_EQ((*sequential)->num_vertices(), 10u) << base.kind;
+    EXPECT_EQ((*sharded)->num_vertices(), 10u) << base.kind;
+  }
 }
 
 TEST(ShardedPredictor, RejectsUnshardableKinds) {

@@ -19,7 +19,10 @@ builds it.
 
 For each workload and end-to-end metric the output gives both medians,
 both spreads (interquartile range / median) and the change/base ratio of
-the medians, and a verdict:
+the medians, and a verdict; under peak_rss_mb it also gives the medians
+of the report facts that say which phase set the peak (PHASE_FACTS:
+the peak after set-up and after the rounds; the end-of-run peak adds
+the live phase), with no verdict:
   ok          the change's median is within the metric's bound;
   WORSE       it is worse than the base's by more than the bound;
   unresolved  a spread exceeds the bound, so the runs cannot tell, unless
@@ -52,6 +55,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+
+# Report facts (the reports' "fingerprint") printed under the metric they
+# break down, so a memory claim can name the phase that moved.
+PHASE_FACTS = {"peak_rss_mb": ["peak_rss_mb.after_setup",
+                               "peak_rss_mb.after_rounds"]}
 
 
 def log(msg):
@@ -89,7 +98,8 @@ def run_once(tree, command, workload, seed, seconds, extra=()):
                      "--seconds", repr(seconds)] + list(extra)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     record = {"workload": workload, "seed": seed, "exit": proc.returncode,
-              "metrics": {}, "attempted": 0, "failed": 0, "invalid": []}
+              "metrics": {}, "facts": {}, "attempted": 0, "failed": 0,
+              "invalid": []}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -105,6 +115,9 @@ def run_once(tree, command, workload, seed, seconds, extra=()):
         with open(report) as f:
             facts = json.load(f).get("fingerprint", {})
         record["invalid"] = sorted(k for k in facts if k.startswith("invalid."))
+        record["facts"] = {k: facts[k] for names in PHASE_FACTS.values()
+                           for k in names
+                           if isinstance(facts.get(k), (int, float))}
     except (OSError, ValueError):
         pass
     return record
@@ -170,6 +183,21 @@ def check_claim(metric, workload, records):
            base_iqr))
     print("  " + ("gain" if met else "not met"))
     return met
+
+
+def print_fact(workload, metric, fact, records):
+    """One report fact's medians per side, in a row under its metric."""
+    label = "  " + fact[len(metric):]  # e.g. "  .after_setup"
+    sides = [[r["facts"][fact] for r in records[side]
+              if r["workload"] == workload and fact in r.get("facts", {})]
+             for side in ("base", "change")]
+    if not all(sides):
+        print("%-10s %-18s  a side has no %s" % (workload, label, fact))
+        return
+    base, change = (statistics.median(values) for values in sides)
+    print("%-10s %-18s %12.4g %12.4g %7.3f %7.3f %7.3f" %
+          (workload, label, base, change, spread(sides[0]), spread(sides[1]),
+           change / base if base else float("inf")))
 
 
 def bad_runs(records):
@@ -282,6 +310,8 @@ def main():
                   (workload, name, statistics.median(base),
                    statistics.median(change), spread(base), spread(change),
                    ratio, metric["bound"], result))
+            for fact in PHASE_FACTS.get(name, []):
+                print_fact(workload, name, fact, records)
     for side in ("base", "change"):
         runs = records[side]
         print("%s: %d runs, %d operations attempted, %d failed" %
