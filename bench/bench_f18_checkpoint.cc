@@ -107,14 +107,12 @@ void Run(const BenchConfig& config) {
   const std::string ref_snap = base_dir + "/reference.snap";
   const std::string resumed_snap = base_dir + "/resumed.snap";
 
-  // Reference: uninterrupted build, saved through the same fold path.
+  // Reference: the uninterrupted build.
   {
     VectorEdgeStream stream(g.edges);
     auto built = IngestEngineBuilder(predictor_config).Ingest(stream);
     SL_CHECK_OK(built.status());
-    std::unique_ptr<LinkPredictor> predictor = std::move(*built);
-    if (auto folded = predictor->Clone()) predictor = std::move(folded);
-    SL_CHECK_OK(predictor->Save(ref_snap));
+    SL_CHECK_OK((*built)->Save(ref_snap));
   }
 
   // Interrupted run: the engine only ever sees the stream prefix.
@@ -141,15 +139,16 @@ void Run(const BenchConfig& config) {
   const double restore_seconds = restore_clock.ElapsedSeconds();
   SL_CHECK(restored.ok()) << restored.status().ToString();
 
+  const uint64_t cursor = restored->entry.stream_edges;
+  VectorEdgeStream tail(EdgeList(g.edges.begin() + cursor, g.edges.end()));
   Stopwatch resume_clock;
-  std::unique_ptr<LinkPredictor> resumed = std::move(restored->predictor);
-  SkipEdgeStream remainder(std::make_unique<VectorEdgeStream>(g.edges),
-                           restored->entry.stream_edges);
-  Edge edge;
-  while (remainder.Next(&edge)) resumed->OnEdge(edge);
-  if (auto folded = resumed->Clone()) resumed = std::move(folded);
+  auto resumed = IngestEngineBuilder(predictor_config)
+                     .Threads(1)
+                     .BuildEngine()
+                     .Resume(std::move(restored->predictor), cursor, tail);
   const double resume_seconds = resume_clock.ElapsedSeconds();
-  SL_CHECK_OK(resumed->Save(resumed_snap));
+  SL_CHECK_OK(resumed.status());
+  SL_CHECK_OK((*resumed)->Save(resumed_snap));
 
   const bool identical =
       ReadFileBytes(ref_snap) == ReadFileBytes(resumed_snap);

@@ -5,12 +5,11 @@
 // stream is consumed. Expected shape: roughly flat error (the sketch
 // tracks the evolving graph with no drift).
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.h"
 #include "core/exact_predictor.h"
-#include "stream/edge_stream.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 
 namespace streamlink {
@@ -42,24 +41,27 @@ int Run(const BenchConfig& config) {
       auto predictor = MustMakePredictor(pc);
       ExactPredictor exact;
 
-      StreamDriver driver;
-      driver.AddConsumer(predictor.get());
-      driver.AddConsumer(&exact);
-      driver.SetCheckpoints(
-          {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
-          [&](uint64_t consumed, double fraction) {
-            AccuracyReport report =
-                MeasureAccuracyAgainst(*predictor, exact, pairs);
-            table.AddRow(
-                {workload, kind, ResultTable::Cell(fraction),
-                 std::to_string(consumed),
-                 ResultTable::Cell(report.jaccard.MeanAbsoluteError()),
-                 ResultTable::Cell(
-                     report.common_neighbors.MeanRelativeError()),
-                 ResultTable::Cell(report.adamic_adar.MeanRelativeError())});
-          });
-      VectorEdgeStream stream(g.edges);
-      driver.Run(stream);
+      // Both predictors take in the stream up to each checkpoint position,
+      // max(1, floor(f * total)), as one contiguous batch.
+      const uint64_t total = g.edges.size();
+      uint64_t consumed = 0;
+      for (double f : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}) {
+        const uint64_t end =
+            std::max<uint64_t>(1, static_cast<uint64_t>(f * total));
+        const EdgeBatch slice(g.edges.data() + consumed, end - consumed);
+        predictor->OnEdgeBatch(slice);
+        exact.OnEdgeBatch(slice);
+        consumed = end;
+        AccuracyReport report =
+            MeasureAccuracyAgainst(*predictor, exact, pairs);
+        table.AddRow(
+            {workload, kind,
+             ResultTable::Cell(static_cast<double>(consumed) / total),
+             std::to_string(consumed),
+             ResultTable::Cell(report.jaccard.MeanAbsoluteError()),
+             ResultTable::Cell(report.common_neighbors.MeanRelativeError()),
+             ResultTable::Cell(report.adamic_adar.MeanRelativeError())});
+      }
     }
   }
   table.Emit(config);

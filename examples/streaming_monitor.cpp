@@ -23,12 +23,8 @@
 #include <vector>
 
 #include "core/minhash_predictor.h"
-#include "core/triangle_counter.h"
 #include "gen/rmat.h"
 #include "sketch/space_saving.h"
-#include "stream/edge_stream.h"
-#include "stream/rate_meter.h"
-#include "stream/stream_driver.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/percentile.h"
@@ -36,54 +32,6 @@
 #include "util/timer.h"
 
 using namespace streamlink;  // example code only; library code never does this  // NOLINT
-
-namespace {
-
-/// Routes each edge's endpoints into the heavy-hitter sketch.
-class HotVertexTracker : public EdgeConsumer {
- public:
-  explicit HotVertexTracker(uint32_t capacity) : sketch_(capacity) {}
-
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& edge : batch) {
-      sketch_.Offer(edge.u);
-      sketch_.Offer(edge.v);
-    }
-  }
-
-  const SpaceSaving& sketch() const { return sketch_; }
-
- private:
-  SpaceSaving sketch_;
-};
-
-/// Scores each edge's endpoint similarity just before the predictor
-/// absorbs it. Register BEFORE the predictor so the estimate excludes the
-/// edge itself.
-class PriorSimilarityTracker : public EdgeConsumer {
- public:
-  explicit PriorSimilarityTracker(const MinHashPredictor& predictor)
-      : predictor_(predictor) {}
-
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& edge : batch) {
-      scores_.push_back(predictor_.EstimateOverlap(edge.u, edge.v).jaccard);
-    }
-  }
-
-  /// The scores so far, ascending.
-  std::vector<double> Sorted() const {
-    std::vector<double> sorted = scores_;
-    std::sort(sorted.begin(), sorted.end());
-    return sorted;
-  }
-
- private:
-  const MinHashPredictor& predictor_;
-  std::vector<double> scores_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
@@ -103,56 +51,62 @@ int main(int argc, char** argv) {
               traffic.edges.size(), traffic.num_vertices);
 
   MinHashPredictor predictor(MinHashPredictorOptions{64, 5});
-  HotVertexTracker hot(256);
+  SpaceSaving hot(256);
 
   // Watchlist: pairs of likely hubs (low R-MAT ids) we want link-strength
   // estimates for at every checkpoint.
   const std::vector<std::pair<VertexId, VertexId>> watchlist = {
       {0, 1}, {0, 2}, {1, 3}};
 
-  PriorSimilarityTracker similarity(predictor);
-  StreamingTriangleCounter triangles(TriangleCounterOptions{64, 6});
-
-  StreamDriver driver;
-  driver.AddConsumer(&similarity);  // must observe the pre-insert state
-  driver.AddConsumer(&predictor);
-  driver.AddConsumer(&hot);
-  driver.AddConsumer(&triangles);
-
-  Stopwatch stopwatch;
-  std::vector<double> fractions;
+  // Progress reports land after max(1, floor(i / checkpoints * total))
+  // edges, i = 1..checkpoints.
+  const uint64_t total = traffic.edges.size();
+  std::vector<uint64_t> report_at;
   for (int i = 1; i <= num_checkpoints; ++i) {
-    fractions.push_back(static_cast<double>(i) / num_checkpoints);
+    const double fraction = static_cast<double>(i) / num_checkpoints;
+    report_at.push_back(
+        std::max<uint64_t>(1, static_cast<uint64_t>(fraction * total)));
   }
-  driver.SetCheckpoints(fractions, [&](uint64_t consumed, double fraction) {
-    std::printf("[%5.1f%%] %9lu edges  %8.0f edges/s  %6.2f MB sketch\n",
-                fraction * 100, static_cast<unsigned long>(consumed),
-                stopwatch.Rate(consumed), predictor.MemoryBytes() / 1e6);
-    if (fraction >= 0.999) return;  // full report printed below
-  });
 
-  VectorEdgeStream stream(traffic.edges);
-  driver.Run(stream);
+  // One pass: score each edge's prior similarity (the estimate before the
+  // predictor takes the edge in), apply it, and count both endpoints.
+  std::vector<double> prior;
+  prior.reserve(total);
+  Stopwatch stopwatch;
+  size_t next_report = 0;
+  uint64_t consumed = 0;
+  for (const Edge& edge : traffic.edges) {
+    prior.push_back(predictor.EstimateOverlap(edge.u, edge.v).jaccard);
+    predictor.OnEdge(edge);
+    hot.Offer(edge.u);
+    hot.Offer(edge.v);
+    ++consumed;
+    for (; next_report < report_at.size() &&
+           report_at[next_report] <= consumed;
+         ++next_report) {
+      std::printf("[%5.1f%%] %9lu edges  %8.0f edges/s  %6.2f MB sketch\n",
+                  static_cast<double>(consumed) / total * 100,
+                  static_cast<unsigned long>(consumed),
+                  stopwatch.Rate(consumed), predictor.MemoryBytes() / 1e6);
+    }
+  }
 
   std::printf("\nhottest endpoints (space-saving, capacity 256):\n");
-  for (const auto& counter : hot.sketch().TopK(5)) {
+  for (const auto& counter : hot.TopK(5)) {
     std::printf("  vertex %-8lu ~%lu touches (error <= %lu)\n",
                 static_cast<unsigned long>(counter.item),
                 static_cast<unsigned long>(counter.count),
                 static_cast<unsigned long>(counter.error));
   }
 
-  const std::vector<double> q = similarity.Sorted();
-  std::printf("\nper-edge prior similarity (%zu edges):\n", q.size());
+  std::sort(prior.begin(), prior.end());
+  std::printf("\nper-edge prior similarity (%zu edges):\n", prior.size());
   std::printf("  p50=%.4f  p90=%.4f  p99=%.4f  max=%.4f\n",
-              PercentileSorted(q, 0.5), PercentileSorted(q, 0.9),
-              PercentileSorted(q, 0.99), PercentileSorted(q, 1.0));
+              PercentileSorted(prior, 0.5), PercentileSorted(prior, 0.9),
+              PercentileSorted(prior, 0.99), PercentileSorted(prior, 1.0));
   std::printf(
       "  (edges arriving between already-similar endpoints score high; an\n"
       "   anomaly pipeline would flag busy pairs scoring near zero)\n");
-
-  std::printf("\nestimated triangles closed so far: %.0f\n",
-              triangles.Estimate());
 
   std::printf("\nwatchlist link strengths (streaming estimates):\n");
   std::printf("  %-12s %-9s %-9s %-9s\n", "pair", "jaccard", "common",

@@ -263,24 +263,36 @@ Status CmdStats(const FlagParser& flags, std::ostream& out) {
   return Status::Ok();
 }
 
-/// Maps the shared --checkpoint-dir/--checkpoint-keep flags onto an opened
-/// CheckpointManager, or nullopt when no directory was requested.
-Result<std::optional<CheckpointManager>> OpenCheckpointFlags(
-    const FlagParser& flags) {
+/// The checkpoint wiring `build` and `resume` share: opens --checkpoint-dir
+/// (retaining --checkpoint-keep snapshots, default 3) into `manager` and
+/// has `builder` checkpoint into it every --checkpoint-every stream edges
+/// (default 10000) and at end-of-stream. Without a directory it leaves
+/// both untouched, and the other two flags are InvalidArgument.
+Status WireCheckpoints(const FlagParser& flags, obs::MetricsRegistry* registry,
+                       std::optional<CheckpointManager>& manager,
+                       IngestEngineBuilder& builder) {
   std::string dir = flags.GetString("checkpoint-dir", "");
   if (dir.empty()) {
     if (flags.Has("checkpoint-every") || flags.Has("checkpoint-keep")) {
       return Status::InvalidArgument(
           "--checkpoint-every/--checkpoint-keep need --checkpoint-dir");
     }
-    return std::optional<CheckpointManager>();
+    return Status::Ok();
+  }
+  const uint64_t every =
+      static_cast<uint64_t>(flags.GetInt("checkpoint-every", 10000));
+  if (every == 0) {
+    return Status::InvalidArgument("--checkpoint-every must be > 0");
   }
   CheckpointOptions options;
   options.dir = dir;
   options.keep = static_cast<uint32_t>(flags.GetInt("checkpoint-keep", 3));
-  auto manager = CheckpointManager::Open(options);
-  if (!manager.ok()) return manager.status();
-  return std::optional<CheckpointManager>(std::move(manager).value());
+  auto opened = CheckpointManager::Open(options);
+  if (!opened.ok()) return opened.status();
+  manager.emplace(std::move(opened).value());
+  manager->BindMetrics(registry);
+  builder.PublishEveryEdges(every).PublishTo(*manager);
+  return Status::Ok();
 }
 
 Status CmdBuild(const FlagParser& flags, std::ostream& out) {
@@ -305,18 +317,12 @@ Status CmdBuild(const FlagParser& flags, std::ostream& out) {
   defaults.seed = 42;
   PredictorConfig config = PredictorConfigFromFlags(flags, defaults);
 
-  auto manager = OpenCheckpointFlags(flags);
-  if (!manager.ok()) return manager.status();
   IngestEngineBuilder builder(config);
   builder.Metrics(obs.registry());
-  if (manager->has_value()) {
-    (*manager)->BindMetrics(obs.registry());
-    const uint64_t every =
-        static_cast<uint64_t>(flags.GetInt("checkpoint-every", 10000));
-    if (every == 0) {
-      return Status::InvalidArgument("--checkpoint-every must be > 0");
-    }
-    builder.PublishEveryEdges(every).PublishTo(**manager);
+  std::optional<CheckpointManager> manager;
+  if (auto st = WireCheckpoints(flags, obs.registry(), manager, builder);
+      !st.ok()) {
+    return st;
   }
 
   VectorEdgeStream stream(file->edges);
@@ -327,9 +333,9 @@ Status CmdBuild(const FlagParser& flags, std::ostream& out) {
   out << "ingested " << predictor->edges_processed() << " edges over "
       << predictor->num_vertices() << " vertices";
   if (config.threads > 1) out << " (" << config.threads << " ingest threads)";
-  if (manager->has_value()) {
-    out << "; " << (*manager)->entries().size() << " checkpoints in "
-        << (*manager)->options().dir;
+  if (manager.has_value()) {
+    out << "; " << manager->entries().size() << " checkpoints in "
+        << manager->options().dir;
   }
   out << "; snapshot (" << predictor->MemoryBytes() / 1024
       << " KiB of state) saved to " << snapshot << "\n";
@@ -337,8 +343,8 @@ Status CmdBuild(const FlagParser& flags, std::ostream& out) {
 }
 
 /// Continues an interrupted `build --checkpoint-dir` run: restores the
-/// newest valid checkpoint, skips the stream edges it already consumed
-/// (SkipEdgeStream), ingests the remainder sequentially, and writes the
+/// newest valid checkpoint and resumes the ingest engine from its cursor
+/// over the rest of --input, checkpointing as `build` does, and writes the
 /// final snapshot — byte-identical to what the uninterrupted build would
 /// have saved.
 Status CmdResume(const FlagParser& flags, std::ostream& out) {
@@ -358,10 +364,14 @@ Status CmdResume(const FlagParser& flags, std::ostream& out) {
   }
   ObsScope obs;
   if (auto st = obs.Init(flags); !st.ok()) return st;
-  auto manager = OpenCheckpointFlags(flags);
-  if (!manager.ok()) return manager.status();
-  (*manager)->BindMetrics(obs.registry());
-  auto restored = (*manager)->RestoreLatest();
+  IngestEngineBuilder builder;
+  builder.Metrics(obs.registry());
+  std::optional<CheckpointManager> manager;
+  if (auto st = WireCheckpoints(flags, obs.registry(), manager, builder);
+      !st.ok()) {
+    return st;
+  }
+  auto restored = manager->RestoreLatest();
   if (!restored.ok()) return restored.status();
 
   auto file = ReadEdgeList(input);
@@ -372,35 +382,20 @@ Status CmdResume(const FlagParser& flags, std::ostream& out) {
         "checkpoint is ahead of --input: cursor " + std::to_string(start) +
         ", stream has " + std::to_string(file->edges.size()) + " edges");
   }
-
-  std::unique_ptr<LinkPredictor> predictor = std::move(restored->predictor);
   if (obs.registry() != nullptr) {
     // Edges the restored checkpoint saved this run from re-ingesting.
     obs.registry()->GetCounter("persist.resume_skipped_edges").Add(start);
   }
-  SkipEdgeStream stream(std::make_unique<VectorEdgeStream>(file->edges),
-                        start);
-  // Keep the interrupted run's checkpoint grid: next checkpoint at the
-  // next multiple of the cadence, not `start + every`.
-  const uint64_t every =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every", 0));
-  uint64_t cursor = start;
-  uint64_t next = every > 0 ? (cursor / every + 1) * every : 0;
-  Edge edge;
-  while (stream.Next(&edge)) {
-    predictor->OnEdge(edge);
-    ++cursor;
-    if (every > 0 && cursor == next) {
-      if (auto st = (*manager)->Write(*predictor, cursor); !st.ok()) return st;
-      next += every;
-    }
-  }
-  if (every > 0) {
-    // Final checkpoint at end-of-stream (Write dedupes an exact repeat).
-    if (auto st = (*manager)->Write(*predictor, cursor); !st.ok()) return st;
-  }
+  EdgeList& edges = file->edges;
+  edges.erase(edges.begin(), edges.begin() + static_cast<ptrdiff_t>(start));
+  VectorEdgeStream tail(std::move(edges));
 
+  ParallelIngestEngine engine = builder.BuildEngine();
+  auto resumed = engine.Resume(std::move(restored->predictor), start, tail);
+  if (!resumed.ok()) return resumed.status();
+  std::unique_ptr<LinkPredictor> predictor = std::move(*resumed);
   if (auto st = predictor->Save(snapshot); !st.ok()) return st;
+  const uint64_t cursor = engine.edges_ingested();
   out << "resumed " << predictor->name() << " from checkpoint at stream edge "
       << start << " (" << restored->path << "); ingested " << (cursor - start)
       << " more edges to " << cursor << "; snapshot saved to " << snapshot

@@ -9,7 +9,7 @@
 
 #include "graph/exact_measures.h"
 #include "graph/types.h"
-#include "stream/stream_driver.h"
+#include "stream/edge_batch.h"
 #include "util/status.h"
 
 namespace streamlink {
@@ -46,9 +46,9 @@ double MeasureFromEstimate(LinkMeasure measure, const OverlapEstimate& e);
 /// Streams are expected to be *simple* (each undirected edge appears
 /// once). The sketches themselves are duplicate-idempotent, but exact
 /// degree counters are not; wrap multigraph sources in DedupEdgeStream.
-class LinkPredictor : public EdgeConsumer {
+class LinkPredictor {
  public:
-  ~LinkPredictor() override = default;
+  virtual ~LinkPredictor() = default;
 
   /// Short identifier, e.g. "minhash", "bottomk", "exact".
   virtual std::string name() const = 0;
@@ -107,6 +107,10 @@ class LinkPredictor : public EdgeConsumer {
   /// Total heap footprint of the predictor's state in bytes.
   virtual uint64_t MemoryBytes() const = 0;
 
+  /// Cold-path convenience for callers holding a single edge: delivers it
+  /// as a one-edge batch.
+  void OnEdge(const Edge& edge) { OnEdgeBatch(EdgeBatch::Single(edge)); }
+
   /// Retracts one previously inserted edge — the turnstile counterpart of
   /// OnEdge: delivers it as a one-edge delete batch. Only kinds the kind
   /// table (core/predictor_factory.h) marks deletable implement the
@@ -117,12 +121,13 @@ class LinkPredictor : public EdgeConsumer {
                           &op));
   }
 
-  /// Primary delivery path (StreamDriver and ParallelIngestEngine arrive
-  /// here): filters self-loops, accounts edges, and hands maximal
-  /// self-loop-free same-op runs — hash lanes still aligned — to
-  /// ProcessBatch / ProcessDeleteBatch in one virtual dispatch per run.
-  /// Batches without an op lane are all inserts.
-  void OnEdgeBatch(const EdgeBatch& batch) final {
+  /// The one delivery path (ParallelIngestEngine's sequential sink, and
+  /// every caller feeding a predictor by hand): filters self-loops,
+  /// accounts edges, and hands maximal self-loop-free same-op runs — hash
+  /// lanes still aligned — to ProcessBatch / ProcessDeleteBatch in one
+  /// virtual dispatch per run. The view (and its lanes) is only valid for
+  /// the duration of the call. Batches without an op lane are all inserts.
+  void OnEdgeBatch(const EdgeBatch& batch) {
     ForEachOpRun(batch, /*skip_self_loops=*/true,
                  [this](const EdgeBatch& run, EdgeOp op) {
                    if (op == EdgeOp::kInsert) {

@@ -174,12 +174,10 @@ Result<std::unique_ptr<LinkPredictor>> LoadPredictorFrom(
     return TombstoneWindowPredictor::LoadFrom(reader, version);
   }
   if (kind == "sharded") return ShardedPredictor::LoadFrom(reader, version);
-  if (kind == "weighted_icws" || kind == "directed_minhash") {
+  if (kind == "weighted_icws") {
     return Status::InvalidArgument(
-        "snapshot holds a '" + kind +
-        "' predictor, which is not a LinkPredictor — load it with " +
-        (kind == "weighted_icws" ? "WeightedJaccardPredictor::Load"
-                                 : "DirectedMinHashPredictor::Load"));
+        "snapshot holds a 'weighted_icws' predictor, which is not a "
+        "LinkPredictor — load it with WeightedJaccardPredictor::Load");
   }
   return Status::InvalidArgument("snapshot holds unknown predictor kind '" +
                                  kind + "'");

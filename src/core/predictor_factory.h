@@ -86,9 +86,9 @@ Result<std::unique_ptr<LinkPredictor>> MakePredictor(
 // kind table row to decode the payload, or one of the two container
 // envelopes (tombstone, and the nested sharded envelope older builds
 // wrote, which loads as a plain predictor), each of which may hold only a
-// registered kind. Sibling kinds that are not LinkPredictors
-// (weighted_icws, directed_minhash) have their own static Load and are
-// rejected with a pointer to it.
+// registered kind. The sibling kind that is not a LinkPredictor
+// (weighted_icws) has its own static Load and is rejected with a pointer
+// to it.
 
 /// Decodes one complete snapshot envelope (header + payload) from the
 /// reader. Does NOT verify a file checksum; use LoadPredictorSnapshot for

@@ -54,6 +54,19 @@ void Histogram::Record(uint64_t value) {
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
+  // Extremes are written only by a sample that sets a new one.
+  uint64_t min = min_.load(std::memory_order_relaxed);
+  while (value < min &&
+         !min_.compare_exchange_weak(min, value, std::memory_order_relaxed)) {
+  }
+  uint64_t max = max_.load(std::memory_order_relaxed);
+  while (value > max &&
+         !max_.compare_exchange_weak(max, value, std::memory_order_relaxed)) {
+  }
+}
+
+uint64_t Histogram::Min() const {
+  return Count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
 }
 
 double Histogram::Mean() const {
@@ -69,6 +82,13 @@ double Histogram::BucketUpperBound(size_t i) {
 double Histogram::Percentile(double p) const {
   const uint64_t n = Count();
   if (n == 0) return 0.0;
+  // A racing Record may have counted its sample before writing an extreme;
+  // clamp only to a consistent [min, max].
+  const double lo = static_cast<double>(min_.load(std::memory_order_relaxed));
+  const double hi = static_cast<double>(Max());
+  const auto clamped = [lo, hi](double estimate) {
+    return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
+  };
   uint64_t rank = static_cast<uint64_t>(std::ceil(p * static_cast<double>(n)));
   if (rank < 1) rank = 1;
   if (rank > n) rank = n;
@@ -84,27 +104,20 @@ double Histogram::Percentile(double p) const {
       // reports the bucket's upper bound.
       const double frac = static_cast<double>(rank - seen) /
                           static_cast<double>(in_bucket);
-      if (i == 0) return frac * BucketUpperBound(0);  // [0, 2): linear
-      return std::ldexp(1.0, static_cast<int>(i)) * std::exp2(frac);
+      if (i == 0) return clamped(frac * BucketUpperBound(0));  // linear
+      return clamped(std::ldexp(1.0, static_cast<int>(i)) * std::exp2(frac));
     }
     seen += in_bucket;
   }
-  return BucketUpperBound(kNumBuckets - 1);
-}
-
-double Histogram::MaxUpperBound() const {
-  for (size_t i = kNumBuckets; i-- > 0;) {
-    if (buckets_[i].load(std::memory_order_relaxed) > 0) {
-      return BucketUpperBound(i);
-    }
-  }
-  return 0.0;
+  return clamped(BucketUpperBound(kNumBuckets - 1));
 }
 
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
+  min_.store(UINT64_MAX, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
 }
 
 void LatencyHistogram::Record(double seconds) {
@@ -182,7 +195,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     sample.p50 = histogram->Percentile(0.5);
     sample.p90 = histogram->Percentile(0.9);
     sample.p99 = histogram->Percentile(0.99);
-    sample.max = histogram->MaxUpperBound();
+    sample.max = static_cast<double>(histogram->Max());
     for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
       const uint64_t in_bucket = histogram->BucketCount(i);
       if (in_bucket > 0) {

@@ -70,6 +70,9 @@ class Gauge {
 /// rank, so estimates never leave that bucket (within 2x of truth in the
 /// worst case, exact for log-uniform data) — the right fidelity for a
 /// monitoring dashboard at per-sample cost independent of history length.
+/// The true minimum and maximum are tracked too (written only when a
+/// sample sets a new extreme), and quantiles are clamped to them, so no
+/// quantile lies outside the observed data.
 ///
 /// This is the *single* histogram implementation in the tree;
 /// LatencyHistogram below is a thin seconds-to-nanoseconds adapter over it.
@@ -90,15 +93,15 @@ class Histogram {
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   double Mean() const;
 
-  /// Approximate p-quantile in raw value units, p in (0, 1]. Returns 0
-  /// when no samples were recorded. Concurrent Record calls may be
-  /// partially visible; the estimate is still within one bucket of a
-  /// consistent cut.
+  /// Approximate p-quantile in raw value units, p in (0, 1], clamped to
+  /// [Min(), Max()]. Returns 0 when no samples were recorded. Concurrent
+  /// Record calls may be partially visible; the estimate is still within
+  /// one bucket of a consistent cut.
   double Percentile(double p) const;
 
-  /// Upper bound of the highest non-empty bucket (0 when empty) — a cheap
-  /// stand-in for the true maximum.
-  double MaxUpperBound() const;
+  /// The smallest and largest samples recorded (0 when empty).
+  uint64_t Min() const;
+  uint64_t Max() const { return max_.load(std::memory_order_relaxed); }
 
   uint64_t BucketCount(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
@@ -114,6 +117,8 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> min_{UINT64_MAX};
+  std::atomic<uint64_t> max_{0};
 };
 
 /// One scraped counter/gauge/histogram — the consistent read the exporters

@@ -265,16 +265,6 @@ IngestPublishFn CheckpointManager::IngestPublisher() {
   };
 }
 
-StreamDriver::CheckpointFn CheckpointManager::CheckpointPublisher(
-    const LinkPredictor& live) {
-  return [this, &live](uint64_t stream_edges, double /*fraction*/) {
-    if (auto status = Write(live, stream_edges); !status.ok()) {
-      SL_LOG(kWarning) << "checkpoint at stream edge " << stream_edges
-                       << " failed: " << status.ToString();
-    }
-  };
-}
-
 Result<uint64_t> WarmStartFromCheckpoints(const CheckpointManager& manager,
                                           QueryService& service) {
   auto restored = manager.RestoreLatest();

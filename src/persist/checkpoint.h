@@ -8,7 +8,6 @@
 
 #include "core/link_predictor.h"
 #include "stream/parallel_ingest.h"
-#include "stream/stream_driver.h"
 #include "util/status.h"
 
 namespace streamlink {
@@ -38,8 +37,8 @@ struct CheckpointOptions {
 struct CheckpointEntry {
   /// Edges pulled from the source stream when the snapshot was taken
   /// (self-loops included — a cursor, not a simple-edge count). Resuming
-  /// means skipping this many stream edges (SkipEdgeStream) and ingesting
-  /// the rest into the restored predictor.
+  /// means handing the restored predictor, this cursor and the stream
+  /// edges after it to ParallelIngestEngine::Resume.
   uint64_t stream_edges = 0;
   /// The predictor's own simple-edge tally at snapshot time (informational;
   /// 0 for entries recovered by directory scan — see Open).
@@ -58,9 +57,9 @@ struct CheckpointEntry {
 /// directory restorable: at worst an unreferenced snapshot file (ignored)
 /// or a pruned file the manifest no longer names (also ignored).
 ///
-/// Writer side is single-threaded (call Write / the publishers from the
-/// thread that owns the live predictor, while it is quiescent); restore is
-/// read-only.
+/// Writer side is single-threaded (call Write / IngestPublisher's hook from
+/// the thread that owns the live predictor, while it is quiescent); restore
+/// is read-only.
 class CheckpointManager {
  public:
   /// Opens (creating if needed) a checkpoint directory and loads its
@@ -105,10 +104,6 @@ class CheckpointManager {
   /// cadence. A failed write is logged as a warning and does not stop the
   /// build (the stream position is re-attempted at the next cadence).
   IngestPublishFn IngestPublisher();
-
-  /// StreamDriver checkpoint callback that snapshots `live` at every
-  /// driver checkpoint. `live` must outlive the returned callback.
-  StreamDriver::CheckpointFn CheckpointPublisher(const LinkPredictor& live);
 
   /// Registers and maintains the `persist.*` metric family
   /// (docs/observability.md): checkpoint/restore counters and failure

@@ -147,15 +147,6 @@ void QueryService::BindMetrics(obs::MetricsRegistry* registry) {
   });
 }
 
-StreamDriver::CheckpointFn QueryService::CheckpointPublisher(
-    const LinkPredictor& live) {
-  return [this, &live](uint64_t edges, double /*fraction*/) {
-    Status status = Publish(live, edges);
-    SL_CHECK(status.ok()) << "checkpoint publish failed: "
-                          << status.ToString();
-  };
-}
-
 IngestPublishFn QueryService::IngestPublisher() {
   return [this](const LinkPredictor& live, uint64_t stream_edges) {
     Status status = Publish(live, stream_edges);

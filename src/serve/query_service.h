@@ -16,7 +16,6 @@
 #include "obs/slo.h"
 #include "stream/edge_stream.h"
 #include "stream/parallel_ingest.h"
-#include "stream/stream_driver.h"
 #include "util/status.h"
 
 namespace streamlink {
@@ -134,11 +133,9 @@ struct QueryResult {
 /// the snapshot trails the live ingest by) is reported on every result.
 ///
 /// Wiring:
-///  * sequential live predictor driven by StreamDriver — register
-///    CheckpointPublisher(live) as the checkpoint callback;
-///  * threaded build via ParallelIngestEngine — set
+///  * a build via ParallelIngestEngine, at any thread count — set
 ///    ParallelIngestOptions::on_publish = IngestPublisher() together with
-///    a publish cadence (the engine quiesces its workers around the call);
+///    a publish cadence (the engine quiesces its sink around the call);
 ///  * anything else — call Publish(live, position) from whichever thread
 ///    owns the live predictor, whenever it is quiescent.
 ///
@@ -171,13 +168,6 @@ class QueryService {
   void NoteLiveEdges(uint64_t stream_edges) {
     live_edges_.store(stream_edges, std::memory_order_relaxed);
   }
-
-  /// A StreamDriver checkpoint callback that publishes `live` at every
-  /// checkpoint. `live` must outlive the returned callback and be written
-  /// only by the thread running the driver (checkpoints fire inline, so
-  /// the predictor is quiescent during the publish). Fatal if a publish
-  /// fails — pick a Clone()-capable predictor kind up front.
-  StreamDriver::CheckpointFn CheckpointPublisher(const LinkPredictor& live);
 
   /// The ParallelIngestOptions::on_publish hook: publishes every quiesced
   /// predictor the engine hands out. Fatal on publish failure.

@@ -20,8 +20,9 @@ enum class EdgeOp : uint8_t {
 
 /// A non-owning view of a contiguous run of stream edges, optionally
 /// annotated with pre-computed per-endpoint vertex hashes — the unit of
-/// delivery for the batched ingestion API (EdgeConsumer::OnEdgeBatch) and
-/// the payload the parallel ingest engine hands across threads.
+/// delivery into a predictor (LinkPredictor::OnEdgeBatch, and the shard
+/// kernels' HalfEdgePredictor::ApplyHalfEdges) and the payload the
+/// parallel ingest engine hands across threads.
 ///
 /// Lanes:
 ///  * `edges` (always present): the run itself. For *whole-edge* batches
@@ -39,9 +40,9 @@ enum class EdgeOp : uint8_t {
 ///    half-edge kernels read a lane, the `hash_v` (neighbor) lane the
 ///    sharded router fills; whole-edge ingest ignores both.
 ///
-/// The view is valid only for the duration of the OnEdgeBatch call it is
-/// passed to; consumers must copy anything they keep. A batch is
-/// semantically identical to delivering its edges through OnEdge in order
+/// The view is valid only for the duration of the call it is passed to;
+/// a predictor must copy anything it keeps. A batch is semantically
+/// identical to delivering its edges through LinkPredictor::OnEdge in order
 /// (the hash lanes are a pure evaluation-strategy hint — they never change
 /// what state an update produces).
 class EdgeBatch {

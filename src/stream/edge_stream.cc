@@ -60,31 +60,4 @@ uint64_t PrefixEdgeStream::SizeHint() const {
   return inner_hint == 0 ? limit_ : std::min(inner_hint, limit_);
 }
 
-SkipEdgeStream::SkipEdgeStream(std::unique_ptr<EdgeStream> inner,
-                               uint64_t skip)
-    : inner_(std::move(inner)), skip_(skip) {
-  SL_CHECK(inner_ != nullptr) << "SkipEdgeStream needs an inner stream";
-}
-
-bool SkipEdgeStream::Next(Edge* edge) {
-  // Lazy skip: discarding here instead of in the constructor keeps Reset
-  // cheap and construction side-effect-free.
-  Edge discard;
-  while (skipped_ < skip_) {
-    if (!inner_->Next(&discard)) return false;
-    ++skipped_;
-  }
-  return inner_->Next(edge);
-}
-
-void SkipEdgeStream::Reset() {
-  inner_->Reset();
-  skipped_ = 0;
-}
-
-uint64_t SkipEdgeStream::SizeHint() const {
-  uint64_t inner_hint = inner_->SizeHint();
-  return inner_hint > skip_ ? inner_hint - skip_ : 0;
-}
-
 }  // namespace streamlink

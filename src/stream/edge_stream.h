@@ -22,8 +22,7 @@ class EdgeStream {
   /// Rewinds to the beginning of the stream.
   virtual void Reset() = 0;
 
-  /// Total number of edges if known, 0 otherwise (used for progress and
-  /// checkpoint placement).
+  /// Total number of edges if known, 0 otherwise.
   virtual uint64_t SizeHint() const { return 0; }
 };
 
@@ -74,24 +73,6 @@ class PrefixEdgeStream : public EdgeStream {
   std::unique_ptr<EdgeStream> inner_;
   uint64_t limit_;
   uint64_t produced_ = 0;
-};
-
-/// Decorator that discards the first `skip` edges of the inner stream and
-/// yields the rest — the resume primitive: a checkpoint records how many
-/// stream edges the predictor consumed, and re-ingestion continues from
-/// the edge after them.
-class SkipEdgeStream : public EdgeStream {
- public:
-  SkipEdgeStream(std::unique_ptr<EdgeStream> inner, uint64_t skip);
-
-  bool Next(Edge* edge) override;
-  void Reset() override;
-  uint64_t SizeHint() const override;
-
- private:
-  std::unique_ptr<EdgeStream> inner_;
-  uint64_t skip_;
-  uint64_t skipped_ = 0;  // edges discarded since the last Reset
 };
 
 }  // namespace streamlink

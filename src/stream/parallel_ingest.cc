@@ -57,11 +57,14 @@ struct IngestMetrics {
   obs::Histogram* publish_ns = nullptr;        // ingest.publish_ns
   std::vector<obs::Counter*> shard_half_edges;
   RateMeter rate{/*window_seconds=*/1.0};
-  uint64_t noted_edges = 0;  // stream frontier already folded in
+  uint64_t noted_edges;  // stream frontier already folded in
 
   /// `num_shards` per-shard counters are registered; 0 for a sequential
-  /// build, which has no shards to count.
-  IngestMetrics(obs::MetricsRegistry* registry, uint32_t num_shards) {
+  /// build, which has no shards to count. The frontier starts at `cursor`,
+  /// so a resumed build counts only the edges it ingests itself.
+  IngestMetrics(obs::MetricsRegistry* registry, uint32_t num_shards,
+                uint64_t cursor)
+      : noted_edges(cursor) {
     if (registry == nullptr) return;
     edges = &registry->GetCounter("ingest.edges_total");
     publishes = &registry->GetCounter("ingest.publishes_total");
@@ -151,13 +154,17 @@ class EpochBarrier {
 
 /// Decides when the next live publish is due. The time cadence is checked
 /// at most once per 1024 edges to keep clock reads off the per-edge path.
+/// The edge cadence runs on the grid of its multiples, so a build resumed
+/// at `cursor` publishes where the interrupted run would have.
 class PublishCadence {
  public:
-  explicit PublishCadence(const ParallelIngestOptions& options)
+  PublishCadence(const ParallelIngestOptions& options, uint64_t cursor)
       : every_edges_(options.publish_every_edges),
         every_seconds_(options.publish_every_seconds),
         enabled_(options.publish_every_edges > 0 ||
-                 options.publish_every_seconds > 0) {
+                 options.publish_every_seconds > 0),
+        last_edges_(every_edges_ > 0 ? cursor - cursor % every_edges_
+                                     : cursor) {
     if (every_seconds_ > 0) timer_.Start();
   }
 
@@ -184,7 +191,7 @@ class PublishCadence {
   const uint64_t every_edges_;
   const double every_seconds_;
   const bool enabled_;
-  uint64_t last_edges_ = 0;
+  uint64_t last_edges_;
   WallTimer timer_;
 };
 
@@ -431,15 +438,20 @@ class ShardSink final : public Sink {
   uint64_t settled_deletes_ = 0;
 };
 
+/// `start`, when set, is the predictor a sequential resume continues.
 Result<std::unique_ptr<Sink>> MakeSink(const PredictorConfig& config,
                                        const ParallelIngestOptions& options,
                                        IngestMetrics& metrics,
-                                       const uint64_t& cursor) {
+                                       const uint64_t& cursor,
+                                       std::unique_ptr<LinkPredictor> start) {
   if (config.threads == 1) {
-    auto predictor = MakePredictor(config);
-    if (!predictor.ok()) return predictor.status();
+    if (start == nullptr) {
+      auto predictor = MakePredictor(config);
+      if (!predictor.ok()) return predictor.status();
+      start = std::move(*predictor);
+    }
     return std::unique_ptr<Sink>(
-        new PredictorSink(std::move(*predictor), options, metrics, cursor));
+        new PredictorSink(std::move(start), options, metrics, cursor));
   }
   auto sharded = ShardedPredictor::Make(config);
   if (!sharded.ok()) return sharded.status();
@@ -485,26 +497,43 @@ Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Build(
   // Insert-only batches carry no op lane (EdgeBatchBuffer adds it at the
   // first delete), so they keep the op-free fast path.
   InsertOnlyOpStream events(stream);
-  return Run(events, /*turnstile=*/false);
+  return Run(events, /*turnstile=*/false, /*start=*/nullptr, /*cursor=*/0);
 }
 
 Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Build(
     OpStream& stream) {
-  return Run(stream, /*turnstile=*/true);
+  return Run(stream, /*turnstile=*/true, /*start=*/nullptr, /*cursor=*/0);
+}
+
+Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Resume(
+    std::unique_ptr<LinkPredictor> restored, uint64_t cursor,
+    EdgeStream& tail) {
+  if (config_.threads != 1) {
+    return Status::InvalidArgument(
+        "resume ingests sequentially: threads must be 1, got " +
+        std::to_string(config_.threads));
+  }
+  if (restored == nullptr) {
+    return Status::InvalidArgument("resume needs a restored predictor");
+  }
+  InsertOnlyOpStream events(tail);
+  return Run(events, /*turnstile=*/false, std::move(restored), cursor);
 }
 
 Result<std::unique_ptr<LinkPredictor>> ParallelIngestEngine::Run(
-    OpStream& stream, bool turnstile) {
-  edges_ingested_ = 0;
+    OpStream& stream, bool turnstile, std::unique_ptr<LinkPredictor> start,
+    uint64_t cursor) {
+  edges_ingested_ = cursor;
   deletes_ingested_ = 0;
   if (Status st = Validate(turnstile); !st.ok()) return st;
   obs::ScopedSpan build_span("ingest/build");
   IngestMetrics metrics(options_.metrics,
-                        config_.threads > 1 ? config_.threads : 0);
-  auto made = MakeSink(config_, options_, metrics, edges_ingested_);
+                        config_.threads > 1 ? config_.threads : 0, cursor);
+  auto made = MakeSink(config_, options_, metrics, edges_ingested_,
+                       std::move(start));
   if (!made.ok()) return made.status();
   Sink& sink = **made;
-  PublishCadence cadence(options_);
+  PublishCadence cadence(options_, cursor);
 
   EdgeEvent event;
   while (stream.Next(&event)) {

@@ -110,9 +110,22 @@ class ParallelIngestEngine {
   /// end-of-stream.
   Result<std::unique_ptr<LinkPredictor>> Build(OpStream& stream);
 
-  /// Edges pulled from the stream by the last Build (including
-  /// self-loops, which are dropped during routing). For turnstile builds
-  /// this counts *events* (inserts + deletes) — the staleness cursor.
+  /// Continues a build: `restored` has already consumed the first `cursor`
+  /// edges of the stream (a restored checkpoint), and `tail` yields the
+  /// edges after them. Runs the same loop as Build into `restored`, with
+  /// the cursor, the publish grid and the `ingest.*` frontier starting at
+  /// `cursor`: the first publish lands at the next multiple of
+  /// `publish_every_edges` after it, as in the interrupted run, and the
+  /// result is byte-identical to the uninterrupted build. Sequential only:
+  /// InvalidArgument when threads > 1 or `restored` is null.
+  Result<std::unique_ptr<LinkPredictor>> Resume(
+      std::unique_ptr<LinkPredictor> restored, uint64_t cursor,
+      EdgeStream& tail);
+
+  /// The stream cursor after the last Build or Resume: edges pulled from
+  /// the stream (including self-loops, which are dropped during routing),
+  /// plus a resume's starting cursor. For turnstile builds this counts
+  /// *events* (inserts + deletes) — the staleness cursor.
   uint64_t edges_ingested() const { return edges_ingested_; }
 
   /// Delete events pulled from the stream by the last turnstile Build.
@@ -121,9 +134,12 @@ class ParallelIngestEngine {
   const ParallelIngestOptions& options() const { return options_; }
 
  private:
-  /// The one ingest loop behind both Build overloads.
-  Result<std::unique_ptr<LinkPredictor>> Run(OpStream& stream,
-                                             bool turnstile);
+  /// The one ingest loop behind Build and Resume: into a new predictor
+  /// made from the config when `start` is null, else into `start`, whose
+  /// stream cursor is `cursor`.
+  Result<std::unique_ptr<LinkPredictor>> Run(
+      OpStream& stream, bool turnstile, std::unique_ptr<LinkPredictor> start,
+      uint64_t cursor);
   Status Validate(bool turnstile) const;
 
   PredictorConfig config_;

@@ -6,7 +6,6 @@
 
 #include "graph/adjacency_graph.h"
 #include "graph/types.h"
-#include "stream/stream_driver.h"
 
 namespace streamlink {
 
@@ -18,15 +17,9 @@ namespace streamlink {
 /// paper's model is insert-only; windowing is listed as the natural
 /// follow-up and exercised by the drifting-graph example). Duplicate
 /// arrivals refresh an edge's position in the window.
-class SlidingWindowGraph : public EdgeConsumer {
+class SlidingWindowGraph {
  public:
   explicit SlidingWindowGraph(uint64_t window_size);
-
-  /// Expiry order must match arrival order, so the batch is the amortized
-  /// loop.
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    for (const Edge& e : batch) Add(e);
-  }
 
   /// Inserts an edge, expiring the oldest if the window overflows.
   /// Returns the number of edges expired (0 or 1; duplicates expire none).

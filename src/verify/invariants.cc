@@ -474,32 +474,45 @@ Status CheckResumeEquivalence(const InvariantContext& context) {
   auto want = SnapshotBytes(**uninterrupted, context, "resume_want");
   if (!want.ok()) return want.status();
 
-  // "Kill" at several interior checkpoints: everything after the snapshot
-  // is lost, the predictor is reloaded cold, and the suffix re-ingested.
+  // "Kill" at several interior checkpoints: an engine build of the prefix
+  // (at 1 worker, and at 3 for a shardable kind) is snapshotted, reloaded
+  // cold, and resumed through the engine over the suffix.
+  std::vector<uint32_t> checkpoint_threads = {1};
+  const PredictorKind* kind = FindPredictorKind(context.config.kind);
+  if (kind != nullptr && kind->shardable) checkpoint_threads.push_back(3);
+  PredictorConfig sequential = context.config;
+  sequential.threads = 1;
   const size_t total = context.edges.size();
-  for (size_t numerator = 1; numerator <= 4; ++numerator) {
-    size_t kill_at = total * numerator / 5;
+  for (uint32_t threads : checkpoint_threads) {
     PredictorConfig config = context.config;
-    config.threads = 1;
-    auto prefix = MakePredictor(config);
-    if (!prefix.ok()) return prefix.status();
-    FeedStream(**prefix, EdgeList(context.edges.begin(),
-                                  context.edges.begin() + kill_at));
+    config.threads = threads;
+    for (size_t numerator = 1; numerator <= 4; ++numerator) {
+      const size_t kill_at = total * numerator / 5;
+      const auto kill = context.edges.begin() + kill_at;
+      VectorEdgeStream prefix(EdgeList(context.edges.begin(), kill));
+      auto interrupted = IngestEngineBuilder(config).Ingest(prefix);
+      if (!interrupted.ok()) return interrupted.status();
 
-    ScratchFile checkpoint(context, "resume_ckpt");
-    if (Status st = (*prefix)->Save(checkpoint.path()); !st.ok()) return st;
-    auto resumed = LoadPredictorSnapshot(checkpoint.path());
-    if (!resumed.ok()) return resumed.status();
+      ScratchFile checkpoint(context, "resume_ckpt");
+      if (Status st = (*interrupted)->Save(checkpoint.path()); !st.ok()) {
+        return st;
+      }
+      auto restored = LoadPredictorSnapshot(checkpoint.path());
+      if (!restored.ok()) return restored.status();
+      VectorEdgeStream tail(EdgeList(kill, context.edges.end()));
+      auto resumed = ParallelIngestEngine(sequential)
+                         .Resume(std::move(*restored), kill_at, tail);
+      if (!resumed.ok()) return resumed.status();
 
-    FeedStream(**resumed, EdgeList(context.edges.begin() + kill_at,
-                                   context.edges.end()));
-    auto got = SnapshotBytes(**resumed, context, "resume_got");
-    if (!got.ok()) return got.status();
-    if (*got != *want) {
-      return Status::Internal(
-          "resume-equivalence: " + context.config.kind + " killed at edge " +
-          std::to_string(kill_at) + "/" + std::to_string(total) +
-          " resumes to a different final snapshot");
+      auto got = SnapshotBytes(**resumed, context, "resume_got");
+      if (!got.ok()) return got.status();
+      if (*got != *want) {
+        return Status::Internal(
+            "resume-equivalence: " + context.config.kind + " killed at edge " +
+            std::to_string(kill_at) + "/" + std::to_string(total) + " of a " +
+            std::to_string(threads) +
+            "-worker build resumes to a different final snapshot");
+      }
     }
   }
   return Status::Ok();

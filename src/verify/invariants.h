@@ -102,8 +102,10 @@ Status CheckTurnstileAnnihilation(const InvariantContext& context);
 Status CheckSnapshotRoundTrip(const InvariantContext& context);
 
 /// Kill-at-every-checkpoint resume: for several checkpoint positions,
-/// snapshot the prefix build, reload it, ingest the suffix, and require
-/// the final snapshot to be byte-identical to an uninterrupted build.
+/// snapshot an engine build of the prefix (at 1 worker, and at 3 for a
+/// shardable kind), reload it, resume the engine from it over the suffix
+/// (ParallelIngestEngine::Resume), and require the final snapshot to be
+/// byte-identical to an uninterrupted build.
 Status CheckResumeEquivalence(const InvariantContext& context);
 
 }  // namespace streamlink

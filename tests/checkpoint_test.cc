@@ -22,7 +22,6 @@
 #include "serve/query_service.h"
 #include "stream/edge_stream.h"
 #include "stream/parallel_ingest.h"
-#include "stream/stream_driver.h"
 
 namespace streamlink {
 namespace {
@@ -39,6 +38,19 @@ void FlipByteInFile(const std::string& path, size_t offset) {
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0xff);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Resumes `restored`, whose cursor is `cursor`, over the rest of `edges`
+/// through the ingest engine, as CLI `resume` does.
+std::unique_ptr<LinkPredictor> MustResume(
+    std::unique_ptr<LinkPredictor> restored, uint64_t cursor,
+    const EdgeList& edges) {
+  VectorEdgeStream tail(EdgeList(edges.begin() + cursor, edges.end()));
+  ParallelIngestEngine engine{PredictorConfig{}};
+  auto resumed = engine.Resume(std::move(restored), cursor, tail);
+  SL_CHECK(resumed.ok()) << resumed.status().ToString();
+  SL_CHECK(engine.edges_ingested() == edges.size());
+  return std::move(*resumed);
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -226,20 +238,6 @@ TEST_F(CheckpointTest, IngestPublisherCheckpointsTheParallelBuild) {
             (*built)->edges_processed());
 }
 
-TEST_F(CheckpointTest, StreamDriverHookCheckpointsSequentialBuild) {
-  auto manager = MustOpen();
-  GeneratedGraph g = MakeWorkload(WorkloadSpec{"ba", 0.02, 57});
-  MinHashPredictor predictor(MinHashPredictorOptions{16, 9});
-  StreamDriver driver;
-  driver.AddConsumer(&predictor);
-  driver.SetCheckpoints({0.5, 1.0}, manager.CheckpointPublisher(predictor));
-  VectorEdgeStream stream(g.edges);
-  driver.Run(stream);
-
-  ASSERT_EQ(manager.entries().size(), 2u);
-  EXPECT_EQ(manager.entries().back().stream_edges, g.edges.size());
-}
-
 TEST_F(CheckpointTest, WarmStartPublishesNewestCheckpoint) {
   auto manager = MustOpen();
   MinHashPredictor predictor(MinHashPredictorOptions{16, 9});
@@ -302,16 +300,14 @@ TEST_F(CheckpointTest, KillAndResumeMatchesUninterruptedSequentialBuild) {
     }
   }
 
-  // Resume in a fresh process image: restore, skip, ingest the rest.
+  // Resume in a fresh process image: restore, then ingest the rest.
   auto manager = MustOpen();
   auto restored = manager.RestoreLatest();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_LT(restored->entry.stream_edges, killed_at);
-  std::unique_ptr<LinkPredictor> resumed = std::move(restored->predictor);
-  SkipEdgeStream stream(std::make_unique<VectorEdgeStream>(g.edges),
-                        restored->entry.stream_edges);
-  Edge edge;
-  while (stream.Next(&edge)) resumed->OnEdge(edge);
+  std::unique_ptr<LinkPredictor> resumed =
+      MustResume(std::move(restored->predictor),
+                 restored->entry.stream_edges, g.edges);
 
   const std::string resumed_path = dir_ + "_resumed.snap";
   ASSERT_TRUE(resumed->Save(resumed_path).ok());
@@ -367,12 +363,10 @@ TEST_F(CheckpointTest, KillAndResumeShardedBuildMatchesSequentialBuild) {
   EXPECT_EQ(restored->entry.stream_edges, killed_at);
   EXPECT_EQ(ReadFileBytes(prefix_path), ReadFileBytes(restored->path))
       << "2-worker checkpoint differs from the sequential build's";
-  std::unique_ptr<LinkPredictor> resumed = std::move(restored->predictor);
-  EXPECT_EQ(resumed->name(), "minhash");
-  SkipEdgeStream stream(std::make_unique<VectorEdgeStream>(g.edges),
-                        restored->entry.stream_edges);
-  Edge edge;
-  while (stream.Next(&edge)) resumed->OnEdge(edge);
+  EXPECT_EQ(restored->predictor->name(), "minhash");
+  std::unique_ptr<LinkPredictor> resumed =
+      MustResume(std::move(restored->predictor),
+                 restored->entry.stream_edges, g.edges);
 
   const std::string resumed_path = dir_ + "_resumed.snap";
   ASSERT_TRUE(resumed->Save(resumed_path).ok());

@@ -9,6 +9,9 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "persist/checkpoint.h"
 
 namespace streamlink {
 namespace {
@@ -34,6 +37,27 @@ class CliTest : public ::testing::Test {
   }
 
   std::string output() const { return out_.str(); }
+
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  /// Writes the comment lines and the first `count` edges of the edge file
+  /// to `path` (the stream an interrupted run saw); returns the edge
+  /// file's edge count.
+  size_t WritePrefix(const std::string& path, size_t count) const {
+    std::ifstream in(edges_path_);
+    std::ofstream out(path);
+    size_t edges = 0;
+    for (std::string line; std::getline(in, line);) {
+      const bool edge = !line.empty() && line[0] != '#';
+      if (!edge || edges < count) out << line << "\n";
+      if (edge) ++edges;
+    }
+    return edges;
+  }
 
   std::string dir_, edges_path_, snapshot_path_;
   std::ostringstream out_;
@@ -258,6 +282,113 @@ TEST_F(CliTest, InterruptedBuildResumesToIdenticalSnapshot) {
   std::filesystem::remove_all(ckpt_dir);
   std::remove(partial_edges.c_str());
   std::remove(full_snapshot.c_str());
+}
+
+// A crash leaves checkpoints on the cadence grid but none at the point it
+// stopped. Resuming from the newest grid checkpoint must write the
+// uninterrupted build's bytes: for every kind, from a checkpoint of a
+// 1- or 3-worker build, and for a tombstone-window build (whose window
+// the end of the stream flushes).
+TEST_F(CliTest, ResumeFromMidStreamCheckpointWritesUninterruptedBytes) {
+  ASSERT_TRUE(Run({"generate", "--workload=ba", "--scale=0.02",
+                   "--out=" + edges_path_})
+                  .ok());
+  const std::string prefix_path = snapshot_path_ + ".prefix";
+  const std::string ckpt_dir = snapshot_path_ + ".ckpt";
+  const std::string full_snapshot = snapshot_path_ + ".full";
+  const size_t total = WritePrefix(prefix_path, 0);
+  const uint64_t every = 100;
+  const uint64_t killed_at = total / 2 / every * every + 37;
+  ASSERT_LT(killed_at, total);
+  WritePrefix(prefix_path, killed_at);
+
+  std::vector<std::vector<std::string>> cases;
+  for (const char* kind : {"minhash", "bottomk", "tcm", "oph", "exact"}) {
+    for (const char* threads : {"--threads=1", "--threads=3"}) {
+      cases.push_back({std::string("--kind=") + kind, threads});
+    }
+  }
+  cases.push_back({"--kind=vertex_biased"});
+  cases.push_back(
+      {"--kind=windowed_minhash", "--window-edges=300", "--window-buckets=4"});
+  cases.push_back({"--kind=minhash", "--tombstone-window=50"});
+
+  for (const std::vector<std::string>& predictor_flags : cases) {
+    std::string label;
+    for (const std::string& flag : predictor_flags) label += flag + " ";
+    auto build = [&](const std::string& input, const std::string& snapshot,
+                     std::vector<std::string> extra) {
+      std::vector<std::string> args = {"build", "--input=" + input, "--k=16",
+                                       "--snapshot=" + snapshot};
+      args.insert(args.end(), predictor_flags.begin(), predictor_flags.end());
+      args.insert(args.end(), extra.begin(), extra.end());
+      return Run(args);
+    };
+    std::filesystem::remove_all(ckpt_dir);
+    Status full = build(edges_path_, full_snapshot, {});
+    ASSERT_TRUE(full.ok()) << label << full.ToString();
+    Status interrupted =
+        build(prefix_path, snapshot_path_,
+              {"--checkpoint-dir=" + ckpt_dir,
+               "--checkpoint-every=" + std::to_string(every)});
+    ASSERT_TRUE(interrupted.ok()) << label << interrupted.ToString();
+    {
+      // Drop the end-of-stream checkpoint, which a crash would not leave.
+      auto manager = CheckpointManager::Open(CheckpointOptions{ckpt_dir, 3});
+      ASSERT_TRUE(manager.ok());
+      ASSERT_TRUE(std::filesystem::remove(manager->PathFor(killed_at)))
+          << label;
+    }
+
+    Status resumed = Run({"resume", "--input=" + edges_path_,
+                          "--checkpoint-dir=" + ckpt_dir,
+                          "--checkpoint-every=" + std::to_string(every),
+                          "--snapshot=" + snapshot_path_});
+    ASSERT_TRUE(resumed.ok()) << label << resumed.ToString();
+    EXPECT_NE(output().find("from checkpoint at stream edge " +
+                            std::to_string(killed_at - 37)),
+              std::string::npos)
+        << label << output();
+    const std::string want = ReadBytes(full_snapshot);
+    ASSERT_FALSE(want.empty()) << label;
+    EXPECT_TRUE(want == ReadBytes(snapshot_path_))
+        << label << ": the resumed snapshot differs from the uninterrupted "
+                    "build's";
+  }
+  std::filesystem::remove_all(ckpt_dir);
+  std::remove(prefix_path.c_str());
+  std::remove(full_snapshot.c_str());
+}
+
+// Without --checkpoint-every, resume checkpoints on build's default grid
+// (every 10000 stream edges) and at end-of-stream, as build does.
+TEST_F(CliTest, ResumeWithoutCheckpointEveryCheckpointsOnTheDefaultGrid) {
+  ASSERT_TRUE(Run({"generate", "--workload=ba", "--scale=0.1",
+                   "--out=" + edges_path_})
+                  .ok());
+  const std::string prefix_path = snapshot_path_ + ".prefix";
+  const std::string ckpt_dir = snapshot_path_ + ".ckpt";
+  std::filesystem::remove_all(ckpt_dir);
+  const size_t total = WritePrefix(prefix_path, 4000);
+  ASSERT_GT(total, 10000u);
+  ASSERT_TRUE(Run({"build", "--input=" + prefix_path, "--k=16",
+                   "--snapshot=" + snapshot_path_,
+                   "--checkpoint-dir=" + ckpt_dir, "--checkpoint-every=1000"})
+                  .ok());
+
+  Status resumed =
+      Run({"resume", "--input=" + edges_path_, "--checkpoint-dir=" + ckpt_dir,
+           "--snapshot=" + snapshot_path_});
+  ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+  auto manager = CheckpointManager::Open(CheckpointOptions{ckpt_dir, 3});
+  ASSERT_TRUE(manager.ok());
+  std::vector<uint64_t> cursors;
+  for (const CheckpointEntry& entry : manager->entries()) {
+    cursors.push_back(entry.stream_edges);
+  }
+  EXPECT_EQ(cursors, (std::vector<uint64_t>{4000, 10000, total}));
+  std::filesystem::remove_all(ckpt_dir);
+  std::remove(prefix_path.c_str());
 }
 
 TEST_F(CliTest, ResumeRequiresCheckpointDir) {

@@ -17,7 +17,6 @@
 #include "gen/workloads.h"
 #include "graph/csr_graph.h"
 #include "stream/edge_stream.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 
 namespace streamlink {
@@ -59,23 +58,25 @@ TEST(Integration, DriverFeedsPredictorsViaCheckpoints) {
   ASSERT_TRUE(predictor.ok());
   ExactPredictor exact;
 
-  VectorEdgeStream stream(g.edges);
-  StreamDriver driver;
-  driver.AddConsumer(predictor->get());
-  driver.AddConsumer(&exact);
-
   std::vector<double> errors_at_checkpoint;
   CsrGraph csr = CsrGraph::FromEdges(g.edges, g.num_vertices);
   Rng rng(5);
   auto pairs = SampleOverlappingPairs(csr, 100, rng);
-  driver.SetCheckpoints({0.5, 1.0}, [&](uint64_t consumed, double) {
+  // Both predictors take in the stream as contiguous batches that end at
+  // each checkpoint, half-way and at the end.
+  const uint64_t total = g.edges.size();
+  uint64_t consumed = 0;
+  for (double fraction : {0.5, 1.0}) {
+    const uint64_t end = static_cast<uint64_t>(fraction * total);
+    const EdgeBatch slice(g.edges.data() + consumed, end - consumed);
+    (*predictor)->OnEdgeBatch(slice);
+    exact.OnEdgeBatch(slice);
+    consumed = end;
     AccuracyReport report =
         MeasureAccuracyAgainst(**predictor, exact, pairs);
     errors_at_checkpoint.push_back(report.jaccard.MeanAbsoluteError());
     EXPECT_EQ((*predictor)->edges_processed(), consumed);
-  });
-  uint64_t total = driver.Run(stream);
-  EXPECT_EQ(total, g.edges.size());
+  }
   ASSERT_EQ(errors_at_checkpoint.size(), 2u);
   // Error should be modest at both points (estimates track a moving truth).
   EXPECT_LT(errors_at_checkpoint[0], 0.15);

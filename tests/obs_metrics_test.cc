@@ -2,7 +2,7 @@
 // exact totals under concurrent writers, gauges are last-write-wins,
 // log2 histograms bucket correctly and answer quantiles with log-linear
 // within-bucket interpolation (never leaving the bucket holding the
-// rank), and a registry scrape running concurrently with hot-path
+// rank, nor the range of the samples), and a registry scrape running concurrently with hot-path
 // updates is race-free (the concurrency lane runs this binary under
 // TSan).
 
@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/random.h"
 
 namespace streamlink {
 namespace obs {
@@ -76,25 +79,76 @@ TEST(HistogramTest, QuantilesInterpolateWithinBucket) {
   Histogram hist;
   for (int i = 0; i < 99; ++i) hist.Record(100);  // bucket [64, 128)
   hist.Record(100000);  // bucket [65536, 131072)
-  // p50 lands mid-bucket: log-linear interpolation reports
-  // 64 * 2^(50/99) ~ 90.8 — much closer to the true 100 than the old
-  // bucket-upper-bound answer of 128, and still inside the bucket.
-  EXPECT_NEAR(hist.Percentile(0.5), 64.0 * std::exp2(50.0 / 99.0), 1e-9);
+  // p50 lands mid-bucket: log-linear interpolation gives
+  // 64 * 2^(50/99) ~ 90.8, below the smallest sample, so the quantile is
+  // clamped to the true minimum — the exact answer, 100.
+  EXPECT_EQ(hist.Percentile(0.5), 100.0);
   EXPECT_GE(hist.Percentile(0.5), 64.0);
   EXPECT_LE(hist.Percentile(0.5), 128.0);
   // Rank 99 exhausts the bulk bucket: frac == 1 reports its upper bound.
   EXPECT_EQ(hist.Percentile(0.99), 128.0);
-  EXPECT_EQ(hist.Percentile(1.0), 131072.0);
-  EXPECT_EQ(hist.MaxUpperBound(), 131072.0);
+  // The top bucket's upper bound (131072) lies past the largest sample, so
+  // the quantile is clamped to the true maximum.
+  EXPECT_EQ(hist.Percentile(1.0), 100000.0);
+  EXPECT_EQ(hist.Max(), 100000u);
+  EXPECT_EQ(hist.Min(), 100u);
   EXPECT_NEAR(hist.Mean(), (99 * 100 + 100000) / 100.0, 1e-9);
 }
 
 TEST(HistogramTest, BucketZeroInterpolatesLinearly) {
+  Histogram ones;
+  for (int i = 0; i < 4; ++i) ones.Record(1);  // all in [0, 2)
+  // Interpolation gives frac * 2 (0.5 at p = 0.25, 2 at p = 1), clamped
+  // to the only value seen.
+  EXPECT_EQ(ones.Percentile(0.25), 1.0);
+  EXPECT_EQ(ones.Percentile(0.5), 1.0);
+  EXPECT_EQ(ones.Percentile(1.0), 1.0);
+
+  Histogram mixed;
+  mixed.Record(0);
+  for (int i = 0; i < 3; ++i) mixed.Record(1);
+  EXPECT_EQ(mixed.Percentile(0.25), 0.5);  // frac 1/4 of bound 2
+  EXPECT_EQ(mixed.Percentile(0.5), 1.0);
+  EXPECT_EQ(mixed.Percentile(1.0), 1.0);  // bound 2, clamped to the max
+}
+
+TEST(HistogramTest, QuantilesOfAConstantAreTheConstant) {
   Histogram hist;
-  for (int i = 0; i < 4; ++i) hist.Record(1);  // all in [0, 2)
-  EXPECT_EQ(hist.Percentile(0.25), 0.5);  // frac 1/4 of bound 2
-  EXPECT_EQ(hist.Percentile(0.5), 1.0);
-  EXPECT_EQ(hist.Percentile(1.0), 2.0);
+  for (int i = 0; i < 100; ++i) hist.Record(8192);
+  EXPECT_EQ(hist.Percentile(0.5), 8192.0);
+  EXPECT_EQ(hist.Percentile(0.99), 8192.0);
+  EXPECT_EQ(hist.Max(), 8192u);
+  EXPECT_EQ(hist.Min(), 8192u);
+
+  MetricsRegistry registry;
+  registry.RegisterHistogram("constant", &hist);
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].p50, 8192.0);
+  EXPECT_EQ(snap.histograms[0].p99, 8192.0);
+  EXPECT_EQ(snap.histograms[0].max, 8192.0);
+}
+
+TEST(HistogramTest, QuantilesStayWithinTheObservedRange) {
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    Histogram hist;
+    uint64_t lo = UINT64_MAX, hi = 0;
+    const int n = 1 + static_cast<int>(rng.NextBounded(200));
+    const uint64_t base = rng.NextBounded(1u << 20);
+    for (int i = 0; i < n; ++i) {
+      const uint64_t value = base + rng.NextBounded(1 + base / 3);
+      lo = std::min(lo, value);
+      hi = std::max(hi, value);
+      hist.Record(value);
+    }
+    EXPECT_EQ(hist.Min(), lo);
+    EXPECT_EQ(hist.Max(), hi);
+    for (double p : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      EXPECT_GE(hist.Percentile(p), static_cast<double>(lo)) << "p=" << p;
+      EXPECT_LE(hist.Percentile(p), static_cast<double>(hi)) << "p=" << p;
+    }
+  }
 }
 
 TEST(HistogramTest, ConstantDistributionStaysWithinItsBucket) {
@@ -143,7 +197,13 @@ TEST(HistogramTest, EmptyHistogramReportsZero) {
   EXPECT_EQ(hist.Count(), 0u);
   EXPECT_EQ(hist.Mean(), 0.0);
   EXPECT_EQ(hist.Percentile(0.5), 0.0);
-  EXPECT_EQ(hist.MaxUpperBound(), 0.0);
+  EXPECT_EQ(hist.Min(), 0u);
+  EXPECT_EQ(hist.Max(), 0u);
+  hist.Record(5);
+  hist.Reset();
+  EXPECT_EQ(hist.Percentile(0.5), 0.0);
+  EXPECT_EQ(hist.Min(), 0u);
+  EXPECT_EQ(hist.Max(), 0u);
 }
 
 TEST(MetricsRegistryTest, GetReturnsStableReferences) {

@@ -8,8 +8,8 @@
 #include "core/predictor_factory.h"
 #include "core/sharded_predictor.h"
 #include "eval/experiment.h"
+#include "obs/metrics.h"
 #include "stream/edge_stream.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 
 namespace streamlink {
@@ -130,7 +130,7 @@ TEST(ParallelIngestEngine, TinyBatchesAndRingsStillLossless) {
   ExpectIdentical(**sequential, **sharded, kNumVertices);
 }
 
-TEST(ParallelIngestEngine, SingleThreadMatchesStreamDriverBuild) {
+TEST(ParallelIngestEngine, SingleThreadMatchesPerEdgeBuild) {
   const EdgeList edges = MakeStream(/*seed=*/23, /*num_edges=*/400);
   PredictorConfig config;
   config.kind = "minhash";
@@ -142,16 +142,68 @@ TEST(ParallelIngestEngine, SingleThreadMatchesStreamDriverBuild) {
   ASSERT_TRUE(from_engine.ok());
   EXPECT_EQ(engine.edges_ingested(), edges.size());
 
-  auto from_driver = MakePredictor(config);
-  ASSERT_TRUE(from_driver.ok());
-  VectorEdgeStream driver_stream(edges);
-  StreamDriver driver;
-  driver.AddConsumer(from_driver->get());
-  driver.Run(driver_stream);
+  auto per_edge = MakePredictor(config);
+  ASSERT_TRUE(per_edge.ok());
+  FeedStream(**per_edge, edges);
 
   EXPECT_EQ((*from_engine)->edges_processed(),
-            (*from_driver)->edges_processed());
-  ExpectIdentical(**from_driver, **from_engine, kNumVertices);
+            (*per_edge)->edges_processed());
+  ExpectIdentical(**per_edge, **from_engine, kNumVertices);
+}
+
+// A resumed build carries on the interrupted one: the cursor, the publish
+// grid and the ingest.edges_total frontier start at the restored cursor,
+// and the result equals the uninterrupted build.
+TEST(ParallelIngestEngine, ResumeContinuesCursorAndPublishGrid) {
+  const EdgeList edges = MakeStream(/*seed=*/29, /*num_edges=*/620);
+  const uint64_t cursor = 250;
+  PredictorConfig config;
+  config.kind = "minhash";
+  config.sketch_size = 32;
+  auto restored = MakePredictor(config);
+  ASSERT_TRUE(restored.ok());
+  FeedStream(**restored, EdgeList(edges.begin(), edges.begin() + cursor));
+
+  obs::MetricsRegistry registry;
+  std::vector<uint64_t> published;
+  ParallelIngestOptions options;
+  options.publish_every_edges = 100;
+  options.on_publish = [&](const LinkPredictor&, uint64_t at) {
+    published.push_back(at);
+  };
+  options.metrics = &registry;
+  ParallelIngestEngine engine(config, options);
+  VectorEdgeStream tail(EdgeList(edges.begin() + cursor, edges.end()));
+  auto resumed = engine.Resume(std::move(*restored), cursor, tail);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+
+  EXPECT_EQ(engine.edges_ingested(), edges.size());
+  EXPECT_EQ(published, (std::vector<uint64_t>{300, 400, 500, 600, 620}));
+  EXPECT_EQ(registry.GetCounter("ingest.edges_total").Value(),
+            edges.size() - cursor);
+  auto whole = MakePredictor(config);
+  ASSERT_TRUE(whole.ok());
+  FeedStream(**whole, edges);
+  EXPECT_EQ((*resumed)->edges_processed(), (*whole)->edges_processed());
+  ExpectIdentical(**whole, **resumed, kNumVertices);
+}
+
+TEST(ParallelIngestEngine, ResumeIsSequentialOnly) {
+  PredictorConfig config;
+  config.kind = "minhash";
+  config.threads = 3;
+  auto restored = MakePredictor(PredictorConfig{});
+  ASSERT_TRUE(restored.ok());
+  VectorEdgeStream tail(EdgeList{{0, 1}});
+  auto threaded =
+      ParallelIngestEngine(config).Resume(std::move(*restored), 0, tail);
+  ASSERT_FALSE(threaded.ok());
+  EXPECT_EQ(threaded.status().code(), StatusCode::kInvalidArgument);
+
+  config.threads = 1;
+  auto missing = ParallelIngestEngine(config).Resume(nullptr, 0, tail);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelIngestEngine, EmptyStream) {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/directed_predictor.h"
 #include "core/half_edge_predictor.h"
 #include "core/minhash_predictor.h"
 #include "core/predictor_factory.h"
@@ -541,7 +540,7 @@ TEST_F(LegacyShardedSnapshotTest, DetectsAllDamage) {
   ExpectAllDamageDetected(ReadFileBytes(path_));
 }
 
-// --- Sibling kinds (not LinkPredictors): weighted and directed ---
+// --- Sibling kind (not a LinkPredictor): weighted ---
 
 class SiblingPersistenceTest : public CorruptionTest {};
 
@@ -567,35 +566,6 @@ TEST_F(SiblingPersistenceTest, WeightedRoundTripIsByteIdentical) {
     EXPECT_DOUBLE_EQ(ea.generalized_jaccard, eb.generalized_jaccard);
     EXPECT_DOUBLE_EQ(ea.min_sum, eb.min_sum);
     EXPECT_DOUBLE_EQ(ea.strength_u, eb.strength_u);
-  }
-
-  ASSERT_TRUE(loaded->Save(mangled_).ok());
-  EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(mangled_));
-}
-
-TEST_F(SiblingPersistenceTest, DirectedRoundTripIsByteIdentical) {
-  DirectedMinHashPredictor original(DirectedPredictorOptions{16, 7});
-  GeneratedGraph g = MakeWorkload(WorkloadSpec{"ba", 0.02, 78});
-  for (const Edge& e : g.edges) original.OnEdge(e);
-  ASSERT_TRUE(original.Save(path_).ok());
-
-  auto loaded = DirectedMinHashPredictor::Load(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->arcs_processed(), original.arcs_processed());
-  EXPECT_EQ(loaded->num_vertices(), original.num_vertices());
-  Rng rng(5);
-  for (int i = 0; i < 40; ++i) {
-    VertexId u = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
-    VertexId v = static_cast<VertexId>(rng.NextBounded(g.num_vertices));
-    for (Direction du : {Direction::kOut, Direction::kIn}) {
-      for (Direction dv : {Direction::kOut, Direction::kIn}) {
-        auto ea = original.Estimate(u, du, v, dv);
-        auto eb = loaded->Estimate(u, du, v, dv);
-        EXPECT_DOUBLE_EQ(ea.jaccard, eb.jaccard);
-        EXPECT_DOUBLE_EQ(ea.intersection, eb.intersection);
-        EXPECT_DOUBLE_EQ(ea.adamic_adar, eb.adamic_adar);
-      }
-    }
   }
 
   ASSERT_TRUE(loaded->Save(mangled_).ok());

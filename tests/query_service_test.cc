@@ -14,7 +14,6 @@
 #include "eval/experiment.h"
 #include "stream/edge_stream.h"
 #include "stream/parallel_ingest.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 #include "util/serde.h"
 
@@ -184,49 +183,6 @@ TEST(QueryService, ConcurrentReadersSeeExactSequentialPrefixes) {
           (*reference)->EstimateOverlap(pairs[i].u, pairs[i].v);
       ExpectEstimatesEqual(expected, sample->estimates[i], pairs[i]);
     }
-  }
-}
-
-// --- StreamDriver wiring -------------------------------------------------
-
-TEST(QueryService, CheckpointPublisherSnapshotsAtEveryCheckpoint) {
-  const EdgeList edges = MakeStream(/*seed=*/41, /*num_edges=*/400);
-  MinHashPredictorOptions options;
-  options.num_hashes = 16;
-  options.seed = 5;
-  MinHashPredictor live(options);
-
-  QueryService service;
-  StreamDriver driver;
-  driver.AddConsumer(&live);
-  driver.SetCheckpoints({0.25, 0.5, 0.75, 1.0},
-                        service.CheckpointPublisher(live));
-  VectorEdgeStream raw(edges);
-  std::unique_ptr<EdgeStream> tapped = service.WrapStream(raw);
-  driver.Run(*tapped);
-
-  EXPECT_EQ(service.publish_count(), 4u);
-  auto snap = service.snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->stream_edges, edges.size());
-  EXPECT_EQ(snap->version, 4u);
-  EXPECT_EQ(snap->edges_processed, live.edges_processed());
-
-  // The final snapshot answers exactly like the live predictor.
-  QueryRequest request;
-  request.pairs = FixedPairs();
-  request.measures = {LinkMeasure::kJaccard, LinkMeasure::kAdamicAdar};
-  auto result = service.Query(request);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->meta.staleness_edges, 0u);
-  for (const PairResult& pr : result->pairs) {
-    ExpectEstimatesEqual(live.EstimateOverlap(pr.pair.u, pr.pair.v),
-                         pr.estimate, pr.pair);
-    ASSERT_EQ(pr.scores.size(), 2u);
-    EXPECT_EQ(pr.scores[0],
-              live.Score(LinkMeasure::kJaccard, pr.pair.u, pr.pair.v));
-    EXPECT_EQ(pr.scores[1],
-              live.Score(LinkMeasure::kAdamicAdar, pr.pair.u, pr.pair.v));
   }
 }
 

@@ -62,16 +62,6 @@ TEST(SlidingWindowGraphTest, WindowOfOneTracksLatestEdge) {
   EXPECT_TRUE(window.graph().HasEdge(2, 3));
 }
 
-TEST(SlidingWindowGraphTest, ActsAsEdgeConsumer) {
-  SlidingWindowGraph window(2);
-  EdgeConsumer& consumer = window;
-  consumer.OnEdge({0, 1});
-  consumer.OnEdge({1, 2});
-  consumer.OnEdge({2, 0});
-  EXPECT_EQ(window.current_edges(), 2u);
-  EXPECT_FALSE(window.graph().HasEdge(0, 1));
-}
-
 TEST(SlidingWindowGraphTest, LongStreamKeepsGraphAndOrderInSync) {
   SlidingWindowGraph window(16);
   for (VertexId i = 0; i < 200; ++i) {

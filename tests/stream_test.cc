@@ -7,19 +7,9 @@
 #include "stream/op_stream.h"
 #include "stream/rate_meter.h"
 #include "stream/sliding_window.h"
-#include "stream/stream_driver.h"
 
 namespace streamlink {
 namespace {
-
-/// Collects every edge it sees.
-class RecordingConsumer : public EdgeConsumer {
- public:
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    edges.insert(edges.end(), batch.begin(), batch.end());
-  }
-  EdgeList edges;
-};
 
 TEST(VectorEdgeStream, YieldsAllEdgesInOrder) {
   VectorEdgeStream s({{0, 1}, {1, 2}});
@@ -104,119 +94,6 @@ TEST(InsertOnlyOpStream, YieldsEveryEdgeAsAnInsert) {
   EXPECT_EQ(event.edge, Edge(0, 1));
 }
 
-/// Additionally records how edges were grouped into OnEdgeBatch calls.
-class BatchRecordingConsumer : public RecordingConsumer {
- public:
-  void OnEdgeBatch(const EdgeBatch& batch) override {
-    batch_sizes.push_back(batch.size());
-    RecordingConsumer::OnEdgeBatch(batch);
-  }
-  std::vector<size_t> batch_sizes;
-};
-
-TEST(EdgeConsumer, OnEdgeDeliversOneEdgeBatch) {
-  BatchRecordingConsumer c;
-  c.OnEdge(Edge(0, 1));
-  c.OnEdge(Edge(1, 2));
-  EXPECT_EQ(c.edges, (EdgeList{{0, 1}, {1, 2}}));
-  EXPECT_EQ(c.batch_sizes, (std::vector<size_t>{1, 1}));
-}
-
-TEST(StreamDriver, DeliversInBatchesOfConfiguredSize) {
-  EdgeList edges;
-  for (VertexId i = 0; i < 10; ++i) edges.emplace_back(i, i + 1);
-  VectorEdgeStream stream(edges);
-  BatchRecordingConsumer c;
-  StreamDriver driver;
-  driver.AddConsumer(&c);
-  driver.SetBatchSize(4);
-  EXPECT_EQ(driver.Run(stream), 10u);
-  EXPECT_EQ(c.edges, edges);
-  EXPECT_EQ(c.batch_sizes, (std::vector<size_t>{4, 4, 2}));
-}
-
-TEST(StreamDriver, BatchesFlushAtCheckpointPositions) {
-  // 10 edges, batch size far larger: the 0.5 checkpoint must still observe
-  // exactly 5 consumed edges, with consumers flushed before the callback.
-  EdgeList edges;
-  for (VertexId i = 0; i < 10; ++i) edges.emplace_back(i, i + 1);
-  VectorEdgeStream stream(edges);
-  BatchRecordingConsumer c;
-  StreamDriver driver;
-  driver.AddConsumer(&c);
-  driver.SetBatchSize(1000);
-  std::vector<uint64_t> positions;
-  std::vector<size_t> delivered_at_checkpoint;
-  driver.SetCheckpoints({0.5, 1.0}, [&](uint64_t consumed, double) {
-    positions.push_back(consumed);
-    delivered_at_checkpoint.push_back(c.edges.size());
-  });
-  driver.Run(stream);
-  ASSERT_EQ(positions.size(), 2u);
-  EXPECT_EQ(positions[0], 5u);
-  EXPECT_EQ(delivered_at_checkpoint[0], 5u);
-  EXPECT_EQ(positions[1], 10u);
-  EXPECT_EQ(delivered_at_checkpoint[1], 10u);
-  EXPECT_EQ(c.edges, edges);
-}
-
-TEST(StreamDriverDeathTest, ZeroBatchSizeAborts) {
-  StreamDriver driver;
-  EXPECT_DEATH(driver.SetBatchSize(0), ">= 1");
-}
-
-TEST(StreamDriver, FeedsAllConsumers) {
-  VectorEdgeStream stream({{0, 1}, {1, 2}, {2, 3}});
-  RecordingConsumer a, b;
-  StreamDriver driver;
-  driver.AddConsumer(&a);
-  driver.AddConsumer(&b);
-  EXPECT_EQ(driver.Run(stream), 3u);
-  EXPECT_EQ(a.edges.size(), 3u);
-  EXPECT_EQ(b.edges, a.edges);
-}
-
-TEST(StreamDriver, CheckpointsFireAtFractions) {
-  EdgeList edges;
-  for (VertexId i = 0; i < 100; ++i) edges.emplace_back(i, i + 1);
-  VectorEdgeStream stream(std::move(edges));
-  StreamDriver driver;
-  std::vector<uint64_t> positions;
-  driver.SetCheckpoints({0.25, 0.5, 1.0},
-                        [&](uint64_t consumed, double fraction) {
-                          positions.push_back(consumed);
-                          EXPECT_GT(fraction, 0.0);
-                          EXPECT_LE(fraction, 1.0);
-                        });
-  driver.Run(stream);
-  ASSERT_EQ(positions.size(), 3u);
-  EXPECT_EQ(positions[0], 25u);
-  EXPECT_EQ(positions[1], 50u);
-  EXPECT_EQ(positions[2], 100u);
-}
-
-TEST(StreamDriver, FinalCheckpointFiresOnShortStream) {
-  VectorEdgeStream stream({{0, 1}});
-  StreamDriver driver;
-  int fired = 0;
-  driver.SetCheckpoints({1.0}, [&](uint64_t, double) { ++fired; });
-  driver.Run(stream);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(StreamDriverDeathTest, BadFractionAborts) {
-  StreamDriver driver;
-  EXPECT_DEATH(driver.SetCheckpoints({1.5}, [](uint64_t, double) {}),
-               "out of");
-  EXPECT_DEATH(driver.SetCheckpoints({0.0}, [](uint64_t, double) {}),
-               "out of");
-}
-
-TEST(StreamDriverDeathTest, NullConsumerAborts) {
-  StreamDriver driver;
-  EXPECT_DEATH(driver.AddConsumer(nullptr), "null consumer");
-}
-
 TEST(RateMeter, LifetimeRate) {
   RateMeter m(10.0);
   m.Record(0.0, 100);
@@ -269,15 +146,6 @@ TEST(SlidingWindowGraph, IgnoresSelfLoops) {
   SlidingWindowGraph w(2);
   EXPECT_EQ(w.Add(Edge(3, 3)), 0u);
   EXPECT_EQ(w.current_edges(), 0u);
-}
-
-TEST(SlidingWindowGraph, WorksAsEdgeConsumer) {
-  SlidingWindowGraph w(100);
-  VectorEdgeStream stream({{0, 1}, {1, 2}});
-  StreamDriver driver;
-  driver.AddConsumer(&w);
-  driver.Run(stream);
-  EXPECT_EQ(w.current_edges(), 2u);
 }
 
 TEST(SlidingWindowGraphDeathTest, ZeroWindowAborts) {
