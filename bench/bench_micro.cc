@@ -311,7 +311,18 @@ void BM_SnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
 
-/// The checksum floor of both: one FNV-1a pass over the snapshot's bytes.
+/// The checksum floor of both: one Checksum pass over the snapshot's
+/// bytes.
+void BM_Checksum(benchmark::State& state) {
+  const SnapshotFixture& s = Snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ChecksumOf(s.bytes.data(), s.bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * s.bytes.size());
+}
+BENCHMARK(BM_Checksum)->Unit(benchmark::kMillisecond);
+
+/// The same bytes through FNV-1a, the footer of envelope-v1 snapshots.
 void BM_Fnv1a(benchmark::State& state) {
   const SnapshotFixture& s = Snapshot();
   for (auto _ : state) {

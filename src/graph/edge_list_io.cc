@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -169,9 +170,10 @@ Result<WeightedEdgeListFile> ParseWeightedStream(
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": " + error);
     }
-    if (weight <= 0.0) {
+    // The negated form also rejects NaN, which fails every comparison.
+    if (!(weight > 0.0 && std::isfinite(weight))) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": non-positive weight");
+                                     ": weight must be finite and positive");
     }
     if (!options.remap_ids &&
         (raw_u > kInvalidVertex - 1 || raw_v > kInvalidVertex - 1)) {

@@ -47,7 +47,9 @@ struct WeightedEdgeListFile {
 
 /// Reads a weighted edge list ("u v w" per line; missing weight defaults
 /// to 1.0, so plain edge lists load too). Same comment/remap semantics as
-/// ReadEdgeList; non-positive weights are an InvalidArgument error.
+/// ReadEdgeList; a weight that is not finite and positive (zero,
+/// negative, NaN, infinite, or beyond double range) is an InvalidArgument
+/// error naming its line.
 Result<WeightedEdgeListFile> ReadWeightedEdgeList(
     const std::string& path, const EdgeListReadOptions& options = {});
 

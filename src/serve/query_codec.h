@@ -20,7 +20,7 @@ namespace streamlink {
 // Format, mirroring the SLSN snapshot discipline (util/serde.h):
 //
 //   u32 magic "SLQM" | u32 codec version | u32 message kind |
-//   kind-specific payload | u64 FNV-1a checksum footer
+//   kind-specific payload | u64 checksum footer (util/serde.h Checksum)
 //
 // All fields little-endian through BinaryWriter/BinaryReader, so the wire
 // bytes share the snapshot format's portability story: encoders append
@@ -34,8 +34,10 @@ namespace streamlink {
 
 inline constexpr uint32_t kQueryMessageMagic = 0x534c514d;  // "SLQM"
 /// v2 added the request trace-opt-in flag and the result's per-stage
-/// latency breakdown (both sides of this tree speak v2; v1 is rejected).
-inline constexpr uint32_t kQueryCodecVersion = 2;
+/// latency breakdown; v3 changed the footer from FNV-1a to the word-wise
+/// Checksum and nothing else. Both ends of the wire come from one build,
+/// so only v3 is read: v1 and v2 are rejected.
+inline constexpr uint32_t kQueryCodecVersion = 3;
 
 /// Decode-side plausibility caps. Generous for real traffic, tight enough
 /// that a corrupted count cannot allocate more than a few MiB.

@@ -12,9 +12,10 @@
 
 namespace streamlink {
 
-/// FNV-1a running checksum over a byte stream — the whole-file integrity
-/// check of predictor snapshots and the per-message check of the query
-/// codec; any single flipped bit changes the digest.
+/// FNV-1a running checksum over a byte stream. Byte-serial, so it stays
+/// off every bulk path: it checks the 20-byte frame header of the wire
+/// protocol (net/frame.cc) and the footer of envelope-v1 snapshot files,
+/// which this build reads but does not write.
 inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
@@ -25,6 +26,48 @@ inline uint64_t Fnv1aUpdate(uint64_t state, const void* data, size_t size) {
   }
   return state;
 }
+
+/// The integrity digest of every bulk byte stream: snapshot, checkpoint
+/// and manifest files (envelope version 2) and query-codec messages.
+///
+/// Four independent 64-bit lanes take the input as little-endian 8-byte
+/// words, word i going to lane i % 4. A lane takes its word in one step —
+/// xor the word in, xorshift, multiply by an odd constant — which is a
+/// bijection of the lane for a fixed word and of the word for a fixed
+/// lane, so a 32-byte block costs four short independent dependency
+/// chains instead of FNV-1a's 32-step byte chain. Digest() steps in the
+/// words of the last partial block (the last partial word zero-padded),
+/// then folds the byte length and the four lanes through Mix64, each
+/// fold a bijection of what it takes. So any change confined to one
+/// 8-byte word, every single-bit flip included, always changes the
+/// digest, and the length tells padding from zero bytes.
+///
+/// Update may split the input anywhere: the digest equals ChecksumOf
+/// over the concatenation of everything given to Update.
+class Checksum {
+ public:
+  void Update(const void* data, size_t size);
+  /// The digest of everything given to Update so far; the state is kept.
+  uint64_t Digest() const;
+
+ private:
+  static constexpr size_t kLanes = 4;
+  static constexpr size_t kBlockBytes = kLanes * sizeof(uint64_t);
+
+  /// Steps `blocks` whole 32-byte blocks at `bytes` into the lanes.
+  void TakeBlocks(const unsigned char* bytes, size_t blocks);
+
+  // The first 256 fraction bits of pi: four distinct starting values
+  // with nothing chosen about them.
+  uint64_t lanes_[kLanes] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                             0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+  uint64_t length_ = 0;  // bytes given to Update
+  // The last length_ % kBlockBytes bytes, not yet stepped into a lane.
+  unsigned char tail_[kBlockBytes] = {};
+};
+
+/// One-shot Checksum of `size` bytes.
+uint64_t ChecksumOf(const void* data, size_t size);
 
 /// WriteFileAtomic hands the file its bytes in writes of this size (the
 /// last one shorter), so a save buffers one chunk, not the whole file.
@@ -39,7 +82,7 @@ inline constexpr size_t kWriteChunkBytes = size_t{1} << 20;
 /// query codec (serve/query_codec.h) encodes a message there and takes it
 /// with TakeBytes. WriteFileAtomic constructs the other flavour, which
 /// drains its buffer to a file whenever it passes kWriteChunkBytes and
-/// folds each drained byte into the file's checksum once.
+/// updates the file's Checksum once per drained chunk.
 class BinaryWriter {
  public:
   BinaryWriter() = default;
@@ -64,8 +107,8 @@ class BinaryWriter {
     if (!v.empty()) WriteBytes(v.data(), v.size() * sizeof(T));
   }
 
-  /// Appends the FNV-1a digest of every byte written before it as a
-  /// trailing u64; BinaryReader::VerifyChecksumFooter checks it. Must be
+  /// Appends the Checksum of every byte written before it as a trailing
+  /// u64; BinaryReader::VerifyChecksumFooter checks it. Must be
   /// the last write. (Files get theirs from WriteFileAtomic.)
   void WriteChecksumFooter();
 
@@ -81,15 +124,15 @@ class BinaryWriter {
     buffer_.reserve(kWriteChunkBytes);
   }
 
-  /// Folds the buffer into checksum_, then WriteOut.
+  /// Updates checksum_ with the buffer, then WriteOut.
   void Drain();
   /// Writes the buffer to fd_ and empties it.
   void WriteOut();
   /// Drains the last partial chunk and writes the checksum footer.
   Status FinishFile();
 
-  int fd_ = -1;                       // the file's descriptor, or -1
-  uint64_t checksum_ = kFnv1aOffset;  // digest of the bytes drained
+  int fd_ = -1;        // the file's descriptor, or -1
+  Checksum checksum_;  // of the bytes drained
   std::string buffer_;
   Status status_;
 };
@@ -154,7 +197,7 @@ class BinaryReader {
   bool AtEnd() const { return pos_ == end_; }
 
   /// Reads the trailing checksum footer and compares it against the
-  /// FNV-1a digest of everything read before it, then requires the input
+  /// Checksum of everything read before it, then requires the input
   /// to end. IoError on mismatch, truncation, or trailing bytes.
   Status VerifyChecksumFooter();
 
@@ -190,9 +233,18 @@ class BinaryReader {
 // on; container kinds (the tombstone window, and the read-only nested
 // "sharded" envelope of older builds) nest complete envelopes inside
 // their payload.
+//
+// The envelope version names the file's footer: version 2 files end in
+// a Checksum, version 1 files (read only) in an FNV-1a digest. The header
+// layout is the same in both; this build writes version 2 into every
+// envelope, nested ones included.
 
 inline constexpr uint32_t kSnapshotMagic = 0x534c534e;  // "SLSN"
-inline constexpr uint32_t kSnapshotEnvelopeVersion = 1;
+/// The envelope version this build writes.
+inline constexpr uint32_t kSnapshotEnvelopeVersion = 2;
+/// The envelope version of older builds, whose files end in an FNV-1a
+/// footer; read only.
+inline constexpr uint32_t kSnapshotEnvelopeVersionFnv1a = 1;
 
 struct SnapshotHeader {
   std::string kind;
@@ -204,24 +256,27 @@ void WriteSnapshotHeader(BinaryWriter& writer, const std::string& kind,
                          uint32_t payload_version);
 
 /// Reads and validates the envelope header. InvalidArgument for wrong
-/// magic or unsupported envelope version; IoError for truncation.
+/// magic or an envelope version other than 1 and 2; IoError for
+/// truncation.
 Result<SnapshotHeader> ReadSnapshotHeader(BinaryReader& reader);
 
 /// Verified whole-file read for snapshot loads, the counterpart of
 /// WriteFileAtomic. Maps `path` read-only, checks the snapshot magic
-/// (InvalidArgument when it is absent), then the checksum footer with one
-/// FNV-1a pass over every byte before it (IoError on a mismatch or a file
-/// too short to hold one), and only then hands those bytes to `decode` —
-/// so a corrupt length field is never parsed. `decode` must consume them
-/// exactly: bytes it leaves before the footer are IoError. The file is
-/// never copied into the heap (its pages stay reclaimable page cache
-/// while `decode` runs) and is unmapped before this returns.
+/// (InvalidArgument when it is absent) and the envelope version word
+/// after it (InvalidArgument unless 1 or 2), then the checksum footer with
+/// one pass over every byte before it, of Checksum for version 2 and of
+/// FNV-1a for version 1 (IoError on a mismatch or a file too short to
+/// hold the two words and the footer), and only then hands those bytes to
+/// `decode` — so a corrupt length field is never parsed. `decode` must
+/// consume them exactly: bytes it leaves before the footer are IoError.
+/// The file is never copied into the heap (its pages stay reclaimable
+/// page cache while `decode` runs) and is unmapped before this returns.
 Status ReadFileVerified(const std::string& path,
                         const std::function<Status(BinaryReader&)>& decode);
 
 /// Crash-safe whole-file write: `fill` writes the content into a writer
 /// that drains to a temporary sibling of `path` in kWriteChunkBytes
-/// chunks; on success the checksum footer is appended, the temporary is
+/// chunks; on success the Checksum footer is appended, the temporary is
 /// fsynced through the same descriptor, atomically renamed over `path`,
 /// and the directory entry is fsynced. A crash at any point leaves either
 /// the old file or the new file at `path`, never a torn mix; on any error

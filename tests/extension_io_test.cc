@@ -45,6 +45,14 @@ TEST(WeightedEdgeListIo, CommentsAndBlanksSkipped) {
 TEST(WeightedEdgeListIo, NonPositiveWeightRejected) {
   EXPECT_FALSE(ParseWeightedEdgeList("0 1 0\n").ok());
   EXPECT_FALSE(ParseWeightedEdgeList("0 1 -2\n").ok());
+  // Not finite: NaN fails every comparison, and 1e400 overflows to inf.
+  for (const char* text : {"0 1 nan\n", "0 1 inf\n", "0 1 1e400\n"}) {
+    auto result = ParseWeightedEdgeList(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(result.status().message().find("line 1"), std::string::npos)
+        << text;
+  }
 }
 
 TEST(WeightedEdgeListIo, MalformedWeightRejected) {

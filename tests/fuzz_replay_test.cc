@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor_factory.h"
@@ -47,18 +48,23 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Snapshot seeds of envelope version 1 (an FNV-1a footer), written by
+/// older builds and kept byte for byte: their names start with this
+/// prefix, which WriteSeedCorpus never writes.
+const char kV1SeedPrefix[] = "v1_";
+
 /// The nested sharded envelope of an older build, which loads but which
 /// no build writes any more.
-const char kLegacyShardedSeed[] = "seed_7";
+const char kLegacyShardedSeed[] = "v1_sharded";
 
-/// A valid snapshot of every verification kind plus the corpus's nested
-/// sharded envelope — the seed inputs the mutation engine works from.
-std::vector<std::string> ValidSnapshotSeeds() {
+bool IsV1Seed(const std::string& name) {
+  return name.rfind(kV1SeedPrefix, 0) == 0;
+}
+
+/// A snapshot of every verification kind, as this build writes it.
+std::vector<std::string> FreshSnapshotSeeds() {
   GeneratedGraph g = MakeWorkload(WorkloadSpec{"ba", 0.01, 151});
-  std::vector<std::string> seeds = {
-      ReadFileBytes(std::string(STREAMLINK_FUZZ_CORPUS_DIR) +
-                    "/snapshot_loader/" + kLegacyShardedSeed)};
-  SL_CHECK(!seeds.front().empty()) << "corpus seed " << kLegacyShardedSeed;
+  std::vector<std::string> seeds;
   for (const PredictorConfig& config : VerificationKindConfigs()) {
     auto predictor = MakePredictor(config);
     SL_CHECK(predictor.ok()) << predictor.status().ToString();
@@ -69,6 +75,19 @@ std::vector<std::string> ValidSnapshotSeeds() {
     SL_CHECK_OK((*predictor)->Save(path));
     seeds.push_back(ReadFileBytes(path));
     std::remove(path.c_str());
+  }
+  return seeds;
+}
+
+/// The fresh snapshots plus the corpus's nested sharded envelope — the
+/// seed inputs the mutation engine works from.
+std::vector<std::string> ValidSnapshotSeeds() {
+  std::vector<std::string> seeds = {
+      ReadFileBytes(std::string(STREAMLINK_FUZZ_CORPUS_DIR) +
+                    "/snapshot_loader/" + kLegacyShardedSeed)};
+  SL_CHECK(!seeds.front().empty()) << "corpus seed " << kLegacyShardedSeed;
+  for (std::string& fresh : FreshSnapshotSeeds()) {
+    seeds.push_back(std::move(fresh));
   }
   return seeds;
 }
@@ -101,18 +120,17 @@ TEST(FuzzReplay, CheckedInCorpusReplaysClean) {
 
 // Pins the snapshot format against the build that wrote the corpus: a
 // writer change that altered every snapshot alike would still pass the
-// save -> load -> save identity tests, but not this one.
+// save -> load -> save identity tests, but not this one. The version-1
+// seeds re-save as version 2 (persistence_test checks how).
 TEST(FuzzReplay, SnapshotCorpusReSavesToItsOwnBytes) {
   const std::string dir =
       std::string(STREAMLINK_FUZZ_CORPUS_DIR) + "/snapshot_loader";
-  // The nested sharded envelope re-saves as its kind's own envelope.
-  const std::string older_format = kLegacyShardedSeed;
   const std::string resaved = ::testing::TempDir() + "/corpus_resave_" +
                               std::to_string(::getpid()) + ".snap";
   size_t checked = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name == older_format) continue;
+    if (IsV1Seed(name)) continue;
     auto loaded = LoadPredictorSnapshot(entry.path().string());
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
     ASSERT_TRUE((*loaded)->Save(resaved).ok()) << name;
@@ -121,7 +139,7 @@ TEST(FuzzReplay, SnapshotCorpusReSavesToItsOwnBytes) {
     ++checked;
   }
   std::remove(resaved.c_str());
-  EXPECT_GE(checked, 7u);
+  EXPECT_GE(checked, VerificationKindConfigs().size());
 }
 
 TEST(FuzzReplay, SnapshotLoaderSurvivesSeededMutations) {
@@ -201,6 +219,20 @@ TEST(FuzzReplay, NetFrameSurvivesSeededMutations) {
   }
 }
 
+// Pins the wire format against the checked-in corpus, as
+// SnapshotCorpusReSavesToItsOwnBytes does the snapshot format: a codec or
+// frame change that leaves the seeds behind (say, at an older codec
+// version the decoders refuse) fails here.
+TEST(FuzzReplay, NetFrameCorpusIsWhatThisBuildEncodes) {
+  const std::string dir =
+      std::string(STREAMLINK_FUZZ_CORPUS_DIR) + "/net_frame";
+  const std::vector<std::string> seeds = NetFrameSeeds();
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const std::string name = "seed_" + std::to_string(i);
+    EXPECT_TRUE(ReadFileBytes(dir + "/" + name) == seeds[i]) << name;
+  }
+}
+
 TEST(FuzzReplay, TargetsRegisterStableCorpusNames) {
   // Corpus directories are keyed by target name; renames orphan corpora.
   std::vector<std::string> names;
@@ -224,7 +256,7 @@ TEST(FuzzReplay, WriteSeedCorpus) {
     std::ofstream out(dir + "/" + name, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
-  std::vector<std::string> snapshots = ValidSnapshotSeeds();
+  std::vector<std::string> snapshots = FreshSnapshotSeeds();
   for (size_t i = 0; i < snapshots.size(); ++i) {
     write(corpus_root + "/snapshot_loader", "seed_" + std::to_string(i),
           snapshots[i]);

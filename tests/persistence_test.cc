@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -24,6 +26,10 @@
 #include "gen/workloads.h"
 #include "util/random.h"
 #include "util/serde.h"
+
+#ifndef STREAMLINK_FUZZ_CORPUS_DIR
+#define STREAMLINK_FUZZ_CORPUS_DIR ""
+#endif
 
 namespace streamlink {
 namespace {
@@ -285,6 +291,15 @@ TEST_F(CorruptionTest, WindowedSnapshotDetectsAllDamage) {
   ExpectAllDamageDetected(ReadFileBytes(path_));
 }
 
+// A checked-in snapshot of envelope version 1 (an FNV-1a footer): a
+// five-edge minhash build of an older release.
+TEST_F(CorruptionTest, V1CorpusSnapshotDetectsAllDamage) {
+  const std::string seed = std::string(STREAMLINK_FUZZ_CORPUS_DIR) +
+                           "/snapshot_loader/v1_minhash_small";
+  ASSERT_TRUE(LoadPredictorSnapshot(seed).ok());
+  ExpectAllDamageDetected(ReadFileBytes(seed));
+}
+
 // --- Targeted invalid-content cases ---
 
 class InvalidSnapshotTest : public CorruptionTest {};
@@ -538,6 +553,74 @@ TEST_F(LegacyShardedSnapshotTest, DetectsAllDamage) {
                     /*num_shards=*/2, /*version=*/2);
               }).ok());
   ExpectAllDamageDetected(ReadFileBytes(path_));
+}
+
+// --- Envelope version 1 (an FNV-1a footer, read only) ---
+
+/// The checked-in snapshots older builds wrote, of envelope version 1:
+/// one per verification kind but tcm, a nested sharded envelope and a
+/// small minhash snapshot.
+std::vector<std::filesystem::path> V1CorpusSeeds() {
+  std::vector<std::filesystem::path> seeds;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(STREAMLINK_FUZZ_CORPUS_DIR) + "/snapshot_loader")) {
+    if (entry.path().filename().string().rfind("v1_", 0) == 0) {
+      seeds.push_back(entry.path());
+    }
+  }
+  std::sort(seeds.begin(), seeds.end());
+  return seeds;
+}
+
+/// The version-1 snapshot `bytes` as this build writes it: every envelope
+/// version word (a snapshot magic followed by version 1) set to 2, and a
+/// Checksum footer in place of the FNV-1a one.
+std::string AsEnvelopeV2(std::string bytes) {
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  for (size_t at = 0; at + 2 * sizeof(uint32_t) <= body; ++at) {
+    uint32_t magic = 0, version = 0;
+    std::memcpy(&magic, bytes.data() + at, sizeof(magic));
+    std::memcpy(&version, bytes.data() + at + sizeof(magic), sizeof(version));
+    if (magic == kSnapshotMagic && version == kSnapshotEnvelopeVersionFnv1a) {
+      std::memcpy(&bytes[at + sizeof(magic)], &kSnapshotEnvelopeVersion,
+                  sizeof(version));
+    }
+  }
+  const uint64_t footer = ChecksumOf(bytes.data(), body);
+  std::memcpy(&bytes[body], &footer, sizeof(footer));
+  return bytes;
+}
+
+class EnvelopeV1Test : public CorruptionTest {};
+
+// Each seed loads, answers as its re-save does, and re-saves as version
+// 2 with nothing else changed: the payload bytes are the seed's own.
+TEST_F(EnvelopeV1Test, CorpusSeedsAnswerAsTheirV2ReSaves) {
+  const std::vector<std::filesystem::path> seeds = V1CorpusSeeds();
+  ASSERT_EQ(seeds.size(), 9u);
+  for (const std::filesystem::path& seed : seeds) {
+    const std::string name = seed.filename().string();
+    const std::string bytes = ReadFileBytes(seed.string());
+    uint32_t version = 0;
+    ASSERT_GE(bytes.size(), 2 * sizeof(uint32_t)) << name;
+    std::memcpy(&version, bytes.data() + sizeof(uint32_t), sizeof(version));
+    ASSERT_EQ(version, kSnapshotEnvelopeVersionFnv1a) << name;
+
+    auto v1 = LoadPredictorSnapshot(seed.string());
+    ASSERT_TRUE(v1.ok()) << name << ": " << v1.status().ToString();
+    ASSERT_TRUE((*v1)->Save(path_).ok()) << name;
+    auto v2 = LoadPredictorSnapshot(path_);
+    ASSERT_TRUE(v2.ok()) << name << ": " << v2.status().ToString();
+    EXPECT_EQ((*v2)->name(), (*v1)->name()) << name;
+    EXPECT_EQ((*v2)->edges_processed(), (*v1)->edges_processed()) << name;
+    EXPECT_EQ((*v2)->num_vertices(), (*v1)->num_vertices()) << name;
+    ExpectSameEstimates(**v1, **v2, (*v1)->num_vertices());
+
+    // The nested sharded envelope re-saves as its kind's own envelope.
+    if (name == "v1_sharded") continue;
+    EXPECT_TRUE(ReadFileBytes(path_) == AsEnvelopeV2(bytes))
+        << name << " re-saves to more than new version words and footer";
+  }
 }
 
 // --- Sibling kind (not a LinkPredictor): weighted ---

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,21 @@ TEST(QueryCodec, PairCountBeyondTheMessageFailsAsTruncation) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
   EXPECT_EQ(decoded.status().message(), "unexpected end of input");
+}
+
+// Both ends of the wire come from one build: a version-2 message, whose
+// footer is FNV-1a, is refused by its version word.
+TEST(QueryCodec, RejectsVersionTwoMessages) {
+  std::string bytes = EncodeQueryRequest(SampleRequest());
+  const uint32_t version = 2;
+  std::memcpy(&bytes[sizeof(uint32_t)], &version, sizeof(version));
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  const uint64_t footer = Fnv1aUpdate(kFnv1aOffset, bytes.data(), body);
+  std::memcpy(&bytes[body], &footer, sizeof(footer));
+  Result<QueryRequest> decoded = DecodeQueryRequest(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message(), "unsupported query codec version 2");
 }
 
 TEST(QueryCodec, RejectsGarbage) {

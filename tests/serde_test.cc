@@ -180,10 +180,115 @@ TEST_F(SerdeTest, ChecksumFooterRejectsTrailingGarbage) {
   EXPECT_FALSE(r.VerifyChecksumFooter().ok());
 }
 
-/// Reads one u32 from a verified file; 0 when it does not verify.
+/// `size` pseudo-random bytes.
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+  return bytes;
+}
+
+uint64_t DigestOf(std::string_view bytes) {
+  return ChecksumOf(bytes.data(), bytes.size());
+}
+
+TEST(Checksum, StreamingUpdatesEqualTheOneShotDigest) {
+  const std::string bytes = RandomBytes(300, 1);
+  const uint64_t whole = DigestOf(bytes);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    Checksum streaming;
+    streaming.Update(bytes.data(), split);
+    streaming.Update(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(streaming.Digest(), whole) << "split at " << split;
+  }
+  Checksum bytewise;
+  for (const char c : bytes) {
+    bytewise.Update(&c, 1);
+    bytewise.Update(nullptr, 0);
+  }
+  EXPECT_EQ(bytewise.Digest(), whole);
+  // Digest leaves the state as it was: more bytes keep streaming.
+  Checksum resumed;
+  resumed.Update(bytes.data(), 100);
+  EXPECT_EQ(resumed.Digest(), DigestOf(std::string_view(bytes).substr(0, 100)));
+  resumed.Update(bytes.data() + 100, bytes.size() - 100);
+  EXPECT_EQ(resumed.Digest(), whole);
+}
+
+// A file writer updates the digest once per drained chunk: splits around
+// the chunk size, and a chunk plus every tail length, give the one-shot
+// digest.
+TEST(Checksum, StreamingAcrossTheDrainBoundaryEqualsTheOneShotDigest) {
+  const std::string bytes = RandomBytes(kWriteChunkBytes + 100, 2);
+  const uint64_t whole = DigestOf(bytes);
+  for (size_t split = kWriteChunkBytes - 40; split <= kWriteChunkBytes + 40;
+       ++split) {
+    Checksum streaming;
+    streaming.Update(bytes.data(), split);
+    streaming.Update(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(streaming.Digest(), whole) << "split at " << split;
+  }
+  for (size_t tail = 0; tail <= 100; ++tail) {
+    Checksum streaming;
+    streaming.Update(bytes.data(), kWriteChunkBytes);
+    streaming.Update(bytes.data() + kWriteChunkBytes, tail);
+    EXPECT_EQ(streaming.Digest(),
+              DigestOf(std::string_view(bytes).substr(0,
+                                                      kWriteChunkBytes + tail)))
+        << "tail of " << tail;
+  }
+}
+
+TEST(Checksum, EverySingleBitFlipChangesTheDigest) {
+  for (size_t size = 0; size <= 64; ++size) {
+    const std::string bytes = RandomBytes(size, 100 + size);
+    const uint64_t digest = DigestOf(bytes);
+    for (size_t bit = 0; bit < 8 * size; ++bit) {
+      std::string flipped = bytes;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      EXPECT_NE(DigestOf(flipped), digest)
+          << "bit " << bit << " of " << size << " bytes";
+    }
+  }
+}
+
+// The last partial word is zero-padded; the length folded into the
+// digest tells the padding from zero bytes.
+TEST(Checksum, AppendingAZeroByteChangesTheDigest) {
+  for (size_t size = 0; size <= 64; ++size) {
+    const std::string bytes = RandomBytes(size, 200 + size);
+    EXPECT_NE(DigestOf(bytes + '\0'), DigestOf(bytes)) << size << " bytes";
+    EXPECT_NE(DigestOf(std::string(size + 1, '\0')),
+              DigestOf(std::string(size, '\0')))
+        << size << " zero bytes";
+  }
+}
+
+// Pins the algorithm: every version-2 snapshot and version-3 codec
+// message carries this digest, so a change to it is a format change.
+TEST(Checksum, DigestOfAFixedInputIsPinned) {
+  std::string bytes(256, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i);
+  EXPECT_EQ(DigestOf(""), 0x87798b3a60e79208ULL);
+  EXPECT_EQ(DigestOf(bytes.substr(0, 7)), 0x1183706d30774e9fULL);
+  EXPECT_EQ(DigestOf(bytes), 0xcbbc6ad90624e5abULL);
+}
+
+/// The two words ReadFileVerified reads before the checksum: the
+/// snapshot magic and the envelope version, which names the footer.
+void WriteEnvelopeWords(BinaryWriter& w,
+                        uint32_t version = kSnapshotEnvelopeVersion) {
+  w.WriteU32(kSnapshotMagic);
+  w.WriteU32(version);
+}
+
+/// Reads the envelope words and then one u32 from a verified file; 0 when
+/// it does not verify.
 uint32_t ReadVerifiedU32(const std::string& path) {
   uint32_t value = 0;
   Status st = ReadFileVerified(path, [&value](BinaryReader& r) {
+    r.ReadU32();
+    r.ReadU32();
     value = r.ReadU32();
     return r.status();
   });
@@ -192,12 +297,64 @@ uint32_t ReadVerifiedU32(const std::string& path) {
 
 TEST_F(SerdeTest, WriteFileAtomicCommitsAndCleansUp) {
   ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
-                w.WriteU32(kSnapshotMagic);
+                WriteEnvelopeWords(w);
+                w.WriteU32(42);
                 return w.status();
               }).ok());
   EXPECT_FALSE(std::ifstream(path_ + ".tmp").good()) << "temp file leaked";
   // The footer was appended for us.
-  EXPECT_EQ(ReadVerifiedU32(path_), kSnapshotMagic);
+  EXPECT_EQ(ReadVerifiedU32(path_), 42u);
+}
+
+/// The envelope words, `value` and a footer of the digest `footer` gives
+/// for the bytes before it, as ReadFileVerified expects a file to be laid
+/// out.
+std::string FileWithFooter(uint32_t version, uint32_t value,
+                           uint64_t (*footer)(const std::string&)) {
+  BinaryWriter w;
+  WriteEnvelopeWords(w, version);
+  w.WriteU32(value);
+  std::string bytes = w.TakeBytes();
+  const uint64_t digest = footer(bytes);
+  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  return bytes;
+}
+
+uint64_t ChecksumFooter(const std::string& bytes) {
+  return ChecksumOf(bytes.data(), bytes.size());
+}
+
+uint64_t Fnv1aFooter(const std::string& bytes) {
+  return Fnv1aUpdate(kFnv1aOffset, bytes.data(), bytes.size());
+}
+
+TEST_F(SerdeTest, ReadFileVerifiedPicksTheFooterByEnvelopeVersion) {
+  auto load = [this](const std::string& bytes) {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+    return ReadFileVerified(path_, [](BinaryReader& r) {
+      r.ReadU32();
+      r.ReadU32();
+      r.ReadU32();
+      return r.status();
+    });
+  };
+  // Version 2 files end in a Checksum, version 1 files in FNV-1a.
+  EXPECT_TRUE(load(FileWithFooter(2, 42, ChecksumFooter)).ok());
+  EXPECT_TRUE(load(FileWithFooter(1, 42, Fnv1aFooter)).ok());
+  EXPECT_EQ(ReadVerifiedU32(path_), 42u);
+  EXPECT_EQ(load(FileWithFooter(2, 42, Fnv1aFooter)).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(load(FileWithFooter(1, 42, ChecksumFooter)).code(),
+            StatusCode::kIoError);
+  for (uint32_t version : {0u, 3u}) {
+    const Status st = load(FileWithFooter(version, 42, ChecksumFooter));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << version;
+    EXPECT_EQ(st.message(), "unsupported snapshot envelope version " +
+                                std::to_string(version));
+  }
+  // The two words and the footer are the shortest file there is.
+  const std::string shortest = FileWithFooter(2, 42, ChecksumFooter);
+  EXPECT_EQ(load(shortest.substr(0, 15)).code(), StatusCode::kIoError);
 }
 
 TEST_F(SerdeTest, WriteFileAtomicFailureLeavesOldFileIntact) {
@@ -241,7 +398,7 @@ TEST_F(SerdeTest, WriteFileAtomicDrainsChunksAndFootersTheWholeFile) {
   EXPECT_TRUE(file.compare(0, payload.size(), payload) == 0);
   uint64_t footer = 0;
   std::memcpy(&footer, file.data() + payload.size(), sizeof(footer));
-  EXPECT_EQ(footer, Fnv1aUpdate(kFnv1aOffset, file.data(), payload.size()));
+  EXPECT_EQ(footer, ChecksumOf(file.data(), payload.size()));
 }
 
 TEST_F(SerdeTest, WriteFileAtomicFailureAfterAChunkReachedTheFile) {
@@ -266,8 +423,9 @@ TEST_F(SerdeTest, WriteFileAtomicFailureAfterAChunkReachedTheFile) {
 
 TEST_F(SerdeTest, ReadFileVerifiedRejectsBytesTheDecoderLeaves) {
   ASSERT_TRUE(WriteFileAtomic(path_, [](BinaryWriter& w) {
-                w.WriteU32(kSnapshotMagic);
+                WriteEnvelopeWords(w);
                 w.WriteU32(7);
+                w.WriteU32(8);
                 return w.status();
               }).ok());
   EXPECT_EQ(ReadVerifiedU32(path_), 0u);
